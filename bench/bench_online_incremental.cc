@@ -119,7 +119,8 @@ void RunMaintained(int argc, char** argv, bench::JsonWriter& json) {
     // member-index machinery into the steady state it belongs to —
     // adaptive index strategies (seed vs complete build) must settle
     // before the clock starts, exactly like the tree build does.
-    RC_CHECK(engine.ComputeCubeShared(level, k).ok());
+    RC_CHECK(engine.ComputeCubeShared(engine.GatherAlignedCells(), level, k)
+                 .ok());
     const std::int64_t dirty_n =
         std::max<std::int64_t>(1, num_cells * dirty_pct / 100);
     for (std::int64_t j = 0; j < dirty_n; ++j) {
@@ -128,7 +129,8 @@ void RunMaintained(int argc, char** argv, bench::JsonWriter& json) {
                          0.5})
               .ok());
     }
-    RC_CHECK(engine.ComputeCubeShared(level, k).ok());
+    RC_CHECK(engine.ComputeCubeShared(engine.GatherAlignedCells(), level, k)
+                 .ok());
 
     double incr_s = 0.0, scratch_s = 0.0;
     const auto stats_before = engine.cube_memo_stats();
@@ -139,14 +141,13 @@ void RunMaintained(int argc, char** argv, bench::JsonWriter& json) {
         RC_CHECK(engine.Ingest({cell.key, 7, 0.25 * (round + 1)}).ok());
       }
 
-      // Both sides read the same warmed delta gather (a revision cache
-      // hit), so the timings isolate cube maintenance vs recomputation —
-      // the O(changed cells) gather itself is PR 3's separately
-      // benchmarked win (bench_snapshot_reads).
+      // Both sides read the same gathered run, so the timings isolate
+      // cube maintenance vs recomputation — the O(changed cells) gather
+      // itself is benchmarked separately (bench_snapshot_reads).
       auto run = engine.GatherAlignedCells();
 
       Stopwatch incr_timer;
-      auto maintained = engine.ComputeCubeShared(level, k);
+      auto maintained = engine.ComputeCubeShared(run, level, k);
       RC_CHECK(maintained.ok()) << maintained.status().ToString();
       incr_s += incr_timer.ElapsedSeconds();
 

@@ -93,10 +93,16 @@ ModeResult RunMode(bool all_locks, const WorkloadSpec& spec,
   const std::int64_t before = ingested.load();
   Stopwatch cube_timer;
   for (int round = 0; round < cube_rounds; ++round) {
-    auto cube = all_locks ? engine->ComputeCubeAllLocks(0, 8)
-                          : engine->ComputeCube(0, 8);
-    RC_CHECK(cube.ok()) << cube.status().ToString();
-    result.o_cells = cube->o_layer().size();
+    if (all_locks) {
+      auto cube = engine->ComputeCubeAllLocks(0, 8);
+      RC_CHECK(cube.ok()) << cube.status().ToString();
+      result.o_cells = cube->o_layer().size();
+    } else {
+      auto cube =
+          engine->ComputeCubeShared(engine->GatherAlignedCells(), 0, 8);
+      RC_CHECK(cube.ok()) << cube.status().ToString();
+      result.o_cells = (*cube)->o_layer().size();
+    }
   }
   result.cube_s = cube_timer.ElapsedSeconds();
   result.ingested_during_cube =
@@ -209,11 +215,10 @@ void RunChurn(int argc, char** argv, bench::JsonWriter& json) {
       << "member-only QueryCellSeries diverged from the full-snapshot scan";
 
   // Point phase — the index figure: the ingest-maintained per-cuboid
-  // member index (hash probe, O(matching members)) against the retained
-  // project-every-key scan (PointLookup::kScan, O(cells)), both through
-  // the same member-only gather, over many distinct o-layer cells.
-  // Bit-identity is RC_CHECKed per probe — the index is a lookup
-  // strategy, not a numerics change.
+  // member index (hash probe, O(matching members)) against a
+  // project-every-key scan over one gathered run (O(cells)), over many
+  // distinct o-layer cells. Bit-identity is RC_CHECKed per probe — the
+  // index is a lookup strategy, not a numerics change.
   const int point_reps = std::max<int>(
       1, static_cast<int>(bench::ArgInt(argc, argv, "point_reps", 200)));
   std::vector<CellKey> probe_keys;
@@ -224,6 +229,8 @@ void RunChurn(int argc, char** argv, bench::JsonWriter& json) {
     probe_keys.push_back(engine.lattice().ProjectMLayerKey(cell.key, o_id));
   }
   engine.GatherCellsMatching(o_id, probe_keys[0]);  // activate the index
+  const auto scan_run = engine.GatherAlignedCells();
+  RC_CHECK(scan_run.status.ok()) << scan_run.status.ToString();
   double indexed_s = 0.0, point_scan_s = 0.0;
   std::int64_t indexed_members = 0;
   for (const CellKey& key : probe_keys) {
@@ -233,15 +240,20 @@ void RunChurn(int argc, char** argv, bench::JsonWriter& json) {
     indexed_members += static_cast<std::int64_t>(indexed.cells.size());
 
     Stopwatch point_scan_timer;
-    auto scanned = engine.GatherCellsMatching(o_id, key, PointLookup::kScan);
+    SnapshotCells scanned;
+    for (const CellSnapshot& cell : *scan_run.cells) {
+      if (engine.lattice().ProjectMLayerKey(cell.key, o_id) == key) {
+        scanned.push_back(cell);
+      }
+    }
     point_scan_s += point_scan_timer.ElapsedSeconds();
 
-    RC_CHECK(indexed.cells.size() == scanned.cells.size())
+    RC_CHECK(indexed.cells.size() == scanned.size())
         << "indexed member set diverged for " << key.ToString();
     for (size_t i = 0; i < indexed.cells.size(); ++i) {
-      RC_CHECK(indexed.cells[i].key == scanned.cells[i].key);
+      RC_CHECK(indexed.cells[i].key == scanned[i].key);
       const auto& a = indexed.cells[i].frame->RawSlots(0);
-      const auto& b = scanned.cells[i].frame->RawSlots(0);
+      const auto& b = scanned[i].frame->RawSlots(0);
       RC_CHECK(a.size() == b.size());
       for (size_t s = 0; s < a.size(); ++s) {
         RC_CHECK(a[s].interval == b[s].interval &&

@@ -6,6 +6,31 @@
 
 namespace regcube {
 
+namespace {
+// The memoized snapshot's merged run, reported through MemoryTracker as the
+// run's own entry footprint. Most frame blocks it points at are shared
+// with the per-shard frozen blocks and counted there
+// ("snapshot.frozen_frames"); blocks re-materialized by clock alignment
+// live only in the run and are covered by the pinned-frames usage probe
+// instead — the accounting is analytic, not exhaustive. The per-shard
+// published runs report their entry bytes under the same category.
+constexpr char kGatherCacheCategory[] = "snapshot.gather_cache";
+
+std::int64_t RunEntryBytes(const CubeSnapshot& snapshot) {
+  return snapshot.num_cells() *
+         static_cast<std::int64_t>(sizeof(CellSnapshot));
+}
+}  // namespace
+
+void Engine::SnapshotCache::ResetLocked(
+    std::shared_ptr<const CubeSnapshot> next) {
+  if (snapshot != nullptr) {
+    tracker->Release(kGatherCacheCategory, RunEntryBytes(*snapshot));
+  }
+  if (next != nullptr) tracker->Add(kGatherCacheCategory, RunEntryBytes(*next));
+  snapshot = std::move(next);
+}
+
 Engine::Engine(std::shared_ptr<const CubeSchema> schema,
                ExceptionPolicy policy, StreamCubeEngine::Options options,
                int num_shards, int read_threads, IngestConfig ingest)
@@ -20,6 +45,7 @@ Engine::Engine(std::shared_ptr<const CubeSchema> schema,
                                                      ingest)),
       cache_(std::make_unique<SnapshotCache>()) {
   sharded_->set_memory_tracker(tracker_.get());
+  cache_->tracker = tracker_.get();
 }
 
 Status Engine::Ingest(const StreamTuple& tuple) {
@@ -69,16 +95,26 @@ std::shared_ptr<const CubeSnapshot> Engine::TakeSnapshot() {
     // entry could never match again and every read would re-gather).
     if (cache_->snapshot == nullptr ||
         cache_->snapshot->revision() < fresh->revision()) {
-      cache_->snapshot = fresh;
+      cache_->ResetLocked(fresh);
     }
   }
   return fresh;
 }
 
 Result<RegressionCube> Engine::ComputeCube(int level, int k) {
-  // Rides the maintained cube memo (bit-identical to the from-scratch
-  // snapshot computation); the by-value contract costs one deep copy.
-  return sharded_->ComputeCube(level, k);
+  auto snapshot = TakeSnapshot();
+  // The by-value export door must not evict a live memo of a different
+  // window (a caller alternating a (level, k) export with cube-kind
+  // drilling would otherwise force a full rebuild on every call), and
+  // popular-path engines have no memo: both cube the snapshot from
+  // scratch. Otherwise it rides the maintained cube (bit-identical to the
+  // from-scratch computation); the by-value contract costs one deep copy.
+  if (sharded_->CubeMemoWouldEvict(level, k)) {
+    return snapshot->ComputeCube(level, k);
+  }
+  auto shared = sharded_->ComputeCubeShared(snapshot->run_, level, k);
+  if (!shared.ok()) return shared.status();
+  return (*shared)->Clone();
 }
 
 Result<QueryResult> Engine::Query(const QuerySpec& spec) {
@@ -106,18 +142,21 @@ Result<QueryResult> Engine::Query(const QuerySpec& spec) {
     case QueryKind::kDrillDown:
     case QueryKind::kSupporters:
     case QueryKind::kTopExceptions: {
-      // Cube-side kinds ride the engine's maintained cube: between writes
-      // the memo answers in O(1), and after churn only the changed cells
-      // are folded in — repeated drilling never re-runs H-cubing. (A
-      // user-held CubeSnapshot still memoizes its own from-scratch cube;
-      // both are bit-identical over the same window.) Popular-path cubes
-      // are not incrementally maintainable, so those engines keep the
-      // snapshot's per-revision cube memo instead.
+      // Cube-side kinds ride the engine's maintained cube, fed from the
+      // memoized snapshot's run: between writes the memo answers in O(1),
+      // and after churn only the changed cells are folded in — repeated
+      // drilling never re-runs H-cubing or re-gathers. (A user-held
+      // CubeSnapshot still memoizes its own from-scratch cube; both are
+      // bit-identical over the same window.) Popular-path cubes are not
+      // incrementally maintainable, so those engines keep the snapshot's
+      // per-revision cube memo instead.
+      auto snapshot = TakeSnapshot();
       if (sharded_->options().algorithm !=
           StreamCubeEngine::Algorithm::kMoCubing) {
-        return TakeSnapshot()->Query(spec);
+        return snapshot->Query(spec);
       }
-      auto cube = sharded_->ComputeCubeShared(spec.level, spec.k);
+      auto cube = sharded_->ComputeCubeShared(snapshot->run_, spec.level,
+                                              spec.k);
       if (!cube.ok()) return cube.status();
       return regcube::Query(**cube, policy_, spec);
     }
@@ -146,9 +185,9 @@ std::vector<std::pair<std::string, std::int64_t>> Engine::MemoryReport()
     report.emplace_back("compaction.failures", spill.compaction_failures);
   }
   // Frozen blocks the cached snapshot pins alive. Shared with (and mostly
-  // double-counted by) the engine-side gather caches while those still
-  // hold them, but after an eviction this residual is the only record that
-  // the bytes are still resident.
+  // double-counted by) the shards' frozen blocks while those still hold
+  // them, but after an eviction this residual is the only record that the
+  // bytes are still resident.
   {
     std::lock_guard<std::mutex> lock(cache_->mu);
     if (cache_->snapshot != nullptr) {
@@ -170,25 +209,28 @@ regcube::SpillStats Engine::SpillStats() const {
 Status Engine::InitStorage(const MemoryBudgetConfig& budget) {
   RC_RETURN_IF_ERROR(sharded_->ConfigureStorage(budget));
   if (MemoryGovernor* governor = sharded_->governor()) {
-    // Rung 19, between the cube memo (10) and the engine-side gather
-    // caches (21): the api snapshot cache pins a whole gathered cell set
-    // (and its memoized cube), so dropping it both frees the snapshot's
-    // own memo and releases the frozen blocks the engine-side rung is
-    // about to drop from being pinned alive.
+    // Rung 19, between the cube memo (10) and the shards' published runs
+    // and frozen blocks (21): the api snapshot cache pins the one merged
+    // run (and its memoized cube), so dropping it both frees the
+    // snapshot's own memo and releases the frozen blocks the engine-side
+    // rung is about to drop from being pinned alive. The gather behind a
+    // new snapshot enforces before the snapshot is installed, so its own
+    // budget check never evicts the run it just built; the next check
+    // (after a write or a seal) may.
     SnapshotCache* cache = cache_.get();
     governor->AddRung(19, "snapshot.cache",
                       [cache](std::int64_t /*excess*/) -> std::int64_t {
                         std::lock_guard<std::mutex> lock(cache->mu);
-                        cache->snapshot.reset();
+                        cache->ResetLocked(nullptr);
                         return 0;  // freed bytes show up via the tracker
                       });
     // The cached snapshot's pinned frames join the budget probe: after
     // the engine-side caches evict, the tracker no longer sees those
     // bytes, but they are still resident as long as the snapshot lives —
     // without this the governor would declare victory while RAM stays
-    // over budget. (While the engine caches also hold the blocks the
-    // bytes are double-counted; that only makes enforcement earlier,
-    // never later, and rung 19 zeroes the probe.)
+    // over budget. (While the shards also hold the blocks the bytes are
+    // double-counted; that only makes enforcement earlier, never later,
+    // and rung 19 zeroes the probe.)
     governor->AddUsageProbe([cache]() -> std::int64_t {
       std::lock_guard<std::mutex> lock(cache->mu);
       return cache->snapshot != nullptr ? cache->snapshot->PinnedFrameBytes()

@@ -21,13 +21,14 @@ namespace regcube {
 /// of §4.5 — ingest -> seal -> cube -> exception drill — behind a sharded,
 /// thread-safe core. Built exclusively through EngineBuilder.
 ///
-/// Reads are snapshot-based. TakeSnapshot() briefly locks each shard only
-/// to copy its cells (gathered in parallel on the read pool) and returns
-/// an immutable CubeSnapshot; every query then runs lock-free against it,
-/// so a large ComputeCube never stalls concurrent ingest. Query() is
-/// sugar: it serves the spec from the revision-cached snapshot, so
-/// repeated drilling between writes shares one snapshot and one
-/// materialized cube.
+/// Reads are snapshot-based. TakeSnapshot() merges the shards' published
+/// runs (a shard lock only for a stale shard's republish) and returns an
+/// immutable CubeSnapshot; every query then runs lock-free against it, so
+/// a large ComputeCube never stalls concurrent ingest. The snapshot is
+/// memoized by engine revision, and that memo is the only cache of the
+/// merged run: Query() serves every non-point kind from it — cube-side
+/// kinds through the maintained cube, fed from the snapshot's run — so
+/// one revision costs one full gather however many queries drill into it.
 class Engine {
  public:
   using Algorithm = StreamCubeEngine::Algorithm;
@@ -70,14 +71,15 @@ class Engine {
   /// late.
   Status SealThrough(TimeTick t);
 
-  /// Freezes the current state as an immutable snapshot: per-shard cells
-  /// are gathered under briefly-held per-shard locks, then all queries on
-  /// the snapshot are lock-free. Memoized by engine revision — until the
-  /// next write, every caller shares one snapshot (take → query many →
-  /// drop). When the gather fails (a spilled cell's fault-in hit a disk
-  /// fault) the returned snapshot carries the typed error in status() and
-  /// every query on it returns that error; failed snapshots are never
-  /// cached, so the next take retries.
+  /// Freezes the current state as an immutable snapshot: the shards'
+  /// published runs are merged into one run (a stale shard republishes
+  /// under its lock first), then all queries on the snapshot are
+  /// lock-free. Memoized by engine revision — until the next write, every
+  /// caller shares one snapshot (take → query many → drop). When the
+  /// gather fails (a spilled cell's fault-in hit a disk fault) the
+  /// returned snapshot carries the typed error in status() and every
+  /// query on it returns that error; failed snapshots are never cached,
+  /// so the next take retries.
   std::shared_ptr<const CubeSnapshot> TakeSnapshot();
 
   /// The one read entry point. Point kinds (kCell, kCellSeries) take the
@@ -90,9 +92,12 @@ class Engine {
   /// once.
   Result<QueryResult> Query(const QuerySpec& spec);
 
-  /// Recomputes the partially materialized cube over the most recent `k`
-  /// sealed slots of tilt `level` — for callers that persist or hand the
-  /// cube elsewhere. Query() is the right door for reading it.
+  /// The partially materialized cube over the most recent `k` sealed slots
+  /// of tilt `level`, by value — for callers that persist or hand the cube
+  /// elsewhere. Served from the revision-cached snapshot: a deep copy of
+  /// the maintained cube when it already tracks this window, else cubed
+  /// from scratch (never evicting the window cube-kind queries ride).
+  /// Query() is the right door for reading it.
   Result<RegressionCube> ComputeCube(int level, int k);
 
   TimeTick now() const { return sharded_->now(); }
@@ -149,10 +154,16 @@ class Engine {
 
   /// Snapshot memoized by engine revision; replaced (never mutated) when
   /// a write has moved the revision. Heap-allocated so Engine stays
-  /// movable despite the mutex.
+  /// movable despite the mutex. The memoized run's entry bytes are
+  /// registered under "snapshot.gather_cache" while it is cached.
   struct SnapshotCache {
     std::mutex mu;
     std::shared_ptr<const CubeSnapshot> snapshot;
+    MemoryTracker* tracker = nullptr;  // the engine's; outlives the cache
+
+    /// Pre: mu held. Replaces the memoized snapshot (null drops it) and
+    /// moves the run's tracker registration with it.
+    void ResetLocked(std::shared_ptr<const CubeSnapshot> next);
   };
 
   std::shared_ptr<const CubeSchema> schema_;
@@ -236,9 +247,9 @@ class EngineBuilder {
   /// Global memory budget in bytes shared by every shard (default 0 =
   /// unbounded). When retained bytes exceed it, the engine walks a typed
   /// eviction ladder after ingest batches: drop the cube memo, drop the
-  /// snapshot/gather caches and frozen blocks, then — with a spill dir —
-  /// spill cold tilt frames to disk. Queries stay bit-identical; spilled
-  /// frames fault back in transparently.
+  /// cached snapshot, the shards' published runs and frozen blocks, then —
+  /// with a spill dir — spill cold tilt frames to disk. Queries stay
+  /// bit-identical; spilled frames fault back in transparently.
   EngineBuilder& SetMemoryBudget(std::int64_t budget_bytes);
 
   /// Directory cold frames spill to (default unset = no cold tier; the

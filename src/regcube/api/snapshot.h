@@ -43,13 +43,18 @@ namespace regcube {
 /// was taken at; compare against Engine (via a fresh TakeSnapshot) to
 /// decide when to refresh. Engine::TakeSnapshot memoizes by revision, so
 /// repeated drilling between writes shares one snapshot (and one cube).
+/// That memo is the only cache of the merged run: the sharded core builds
+/// a fresh run per gather and keeps none, and Engine::Query feeds its
+/// cube-side kinds (and the maintained cube) from the memoized snapshot's
+/// run — one full gather per revision.
 ///
 /// Results are bit-identical to the engine's own reads for every shard
 /// count: the frozen cells are in canonical key order and every
 /// aggregation runs through the same snapshot_reads kernels the engine
-/// uses. Cube-side kinds materialize the cube over the spec's (level, k)
-/// window once and memoize it inside the snapshot (per-cuboid cubing work
-/// is partitioned across the engine's thread pool).
+/// uses. Cube-side kinds queried on the snapshot itself materialize the
+/// cube over the spec's (level, k) window once and memoize it inside the
+/// snapshot (per-cuboid cubing work is partitioned across the engine's
+/// thread pool).
 class CubeSnapshot {
  public:
   using DeckSeries = StreamCubeEngine::DeckSeries;
@@ -88,35 +93,35 @@ class CubeSnapshot {
                                            int level) const;
 
   /// Engine revision this snapshot froze; the staleness handle.
-  std::uint64_t revision() const { return revision_; }
+  std::uint64_t revision() const { return run_.revision; }
 
   /// Non-OK when the gather behind this snapshot failed (a spilled cell
   /// could not be faulted in — typed Unavailable from the cold tier). A
   /// failed snapshot holds no cells and every query on it returns this
   /// status; the engine never caches one, so the next TakeSnapshot
   /// retries the gather.
-  const Status& status() const { return status_; }
+  const Status& status() const { return run_.status; }
 
   /// What the underlying gather paid for this snapshot: frames
   /// materialized vs shared, and — with a cold tier configured — how many
   /// spilled frames had to be faulted back in (`fault_ins` /
   /// `fault_in_bytes`). The observability hook the spill tests and benches
   /// read to prove a snapshot's provenance.
-  const GatherStats& gather_stats() const { return stats_; }
+  const GatherStats& gather_stats() const { return run_.stats; }
 
   /// The tick every frozen frame is aligned to.
-  TimeTick now() const { return clock_; }
+  TimeTick now() const { return run_.clock; }
 
   /// Distinct m-layer cells frozen.
   std::int64_t num_cells() const {
-    return static_cast<std::int64_t>(cells_->size());
+    return static_cast<std::int64_t>(run_.cells->size());
   }
 
   /// Bytes of frozen frame blocks this snapshot keeps alive. The blocks
-  /// are refcount-shared with the engine's gather caches, so while the
-  /// engine holds them too they are already accounted there — but a live
-  /// snapshot pins them past any engine-side eviction, and the memory
-  /// report surfaces that residual as "snapshot.pinned_frames".
+  /// are refcount-shared with the shards' frozen blocks and published
+  /// runs, so while those hold them too they are already accounted there —
+  /// but a live snapshot pins them past any engine-side eviction, and the
+  /// memory report surfaces that residual as "snapshot.pinned_frames".
   std::int64_t PinnedFrameBytes() const { return pinned_frame_bytes_; }
 
   const CubeSchema& schema() const { return *schema_; }
@@ -149,14 +154,11 @@ class CubeSnapshot {
   ExceptionPolicy policy_;
   StreamCubeEngine::Options options_;  // algorithm/policy/tilt for cubing
   std::shared_ptr<ThreadPool> pool_;
-  // Canonical key order, aligned to clock_; shared with the engine's
-  // gather caches (taking a snapshot is a refcount copy of the run).
-  std::shared_ptr<const SnapshotCells> cells_;
-  TimeTick clock_ = 0;
-  std::uint64_t revision_ = 0;
-  Status status_;  // the gather's outcome; non-OK poisons every query
+  // The merged run in canonical key order, aligned to its clock; its
+  // status is the gather's outcome (non-OK poisons every query). Engine
+  // feeds this same run to the maintained cube.
+  ShardedStreamEngine::GatheredCells run_;
   std::int64_t pinned_frame_bytes_ = 0;  // Σ frozen frame MemoryBytes()
-  GatherStats stats_;  // what the gather behind this snapshot paid
   mutable CubeMemo memo_;  // logically immutable: a memo of the derived cube
 };
 

@@ -162,7 +162,7 @@ class IncrementalCubeCache {
   int level_ = 0;
   int k_ = 0;
   std::uint64_t revision_ = 0;
-  // The run the memo reflects; shared with the engine's gather cache, so
+  // The run the memo reflects; shared with the facade's cached snapshot, so
   // holding it costs pointers. Frame-pointer equality against the next run
   // is what makes the diff O(changed cells).
   std::shared_ptr<const SnapshotCells> run_;

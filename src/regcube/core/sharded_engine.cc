@@ -11,23 +11,11 @@
 namespace regcube {
 
 namespace {
-// The whole-engine merged gather run, reported through MemoryTracker as
-// the run's own entry footprint. Most frame blocks it points at are
-// shared with the per-cell frozen cache and counted there
-// ("snapshot.frozen_frames"); blocks re-materialized by clock alignment
-// live only in the run (and any snapshots holding it) and are not
-// individually tracked — the accounting is analytic, not exhaustive.
-constexpr char kGatherCacheCategory[] = "snapshot.gather_cache";
-
 // The per-shard ingest queues' preallocated ring slots (async mode only).
 // Analytic like the rest: capacity * sizeof(StreamTuple) per shard, fixed
 // for the engine's lifetime; heap storage retained by queued keys varies
 // per tuple and is not tracked.
 constexpr char kIngestQueueCategory[] = "ingest.queue";
-
-std::int64_t SliceBytes(const SnapshotCells& cells) {
-  return static_cast<std::int64_t>(cells.size() * sizeof(CellSnapshot));
-}
 
 // Re-entrancy guard for the export.dirty ladder rung: set while the rung
 // runs, so that if any path it takes ever reaches MaybeEnforceBudget on
@@ -149,6 +137,37 @@ int ShardedStreamEngine::ShardIndex(const CellKey& mapped_key) const {
   return static_cast<int>(mapped_key.Hash() % shards_.size());
 }
 
+std::vector<std::vector<StreamTuple>> ShardedStreamEngine::PartitionByShard(
+    const std::vector<StreamTuple>& tuples) const {
+  std::vector<std::vector<StreamTuple>> partitions(shards_.size());
+  for (const StreamTuple& t : tuples) {
+    const CellKey key = mapper_ ? mapper_(t.key) : t.key;
+    partitions[static_cast<size_t>(ShardIndex(key))].push_back(
+        {key, t.tick, t.value});
+  }
+  return partitions;
+}
+
+void ShardedStreamEngine::ForEachShard(
+    const std::function<void(size_t)>& fn) {
+  const auto n = static_cast<std::int64_t>(shards_.size());
+  if (pool_ != nullptr && n > 1) {
+    pool_->ParallelFor(n, [&](std::int64_t i) { fn(static_cast<size_t>(i)); });
+  } else {
+    for (size_t i = 0; i < shards_.size(); ++i) fn(i);
+  }
+}
+
+std::int64_t ShardedStreamEngine::SumOverShards(
+    const std::function<std::int64_t(const StreamCubeEngine&)>& read) const {
+  std::int64_t total = 0;
+  for (const auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mu);
+    total += read(shard->engine);
+  }
+  return total;
+}
+
 void ShardedStreamEngine::BumpClock(TimeTick t) {
   TimeTick cur = clock_.load(std::memory_order_relaxed);
   while (cur < t &&
@@ -161,24 +180,14 @@ void ShardedStreamEngine::set_memory_tracker(MemoryTracker* tracker) {
     std::lock_guard<std::mutex> lock(shard->mu);
     shard->engine.set_memory_tracker(tracker);
   }
-  // Move the cached merged run's and the ingest queues' registrations
-  // between trackers, so detach / re-attach keeps every tracker balanced.
-  std::lock_guard<std::mutex> lock(gather_mu_);
+  // Move the ingest queues' registration between trackers, so detach /
+  // re-attach keeps every tracker balanced.
   const std::int64_t queue_bytes = IngestQueueBytes();
   if (queue_bytes > 0) {
     if (tracker_ != nullptr) {
       tracker_->Release(kIngestQueueCategory, queue_bytes);
     }
     if (tracker != nullptr) tracker->Add(kIngestQueueCategory, queue_bytes);
-  }
-  if (gather_valid_) {
-    const std::int64_t bytes = SliceBytes(*gather_cache_.cells);
-    if (tracker_ != nullptr && bytes > 0) {
-      tracker_->Release(kGatherCacheCategory, bytes);
-    }
-    if (tracker != nullptr && bytes > 0) {
-      tracker->Add(kGatherCacheCategory, bytes);
-    }
   }
   tracker_ = tracker;
   if (cube_memo_ != nullptr) cube_memo_->set_memory_tracker(tracker);
@@ -290,12 +299,7 @@ IngestTicket ShardedStreamEngine::IngestAsync(
   // Map before hashing (same as the sync path) so the tuples queued for a
   // shard are exactly what its engine will absorb — the owner thread never
   // touches the mapper.
-  std::vector<std::vector<StreamTuple>> partitions(shards_.size());
-  for (const StreamTuple& t : tuples) {
-    const CellKey key = mapper_ ? mapper_(t.key) : t.key;
-    partitions[static_cast<size_t>(ShardIndex(key))].push_back(
-        {key, t.tick, t.value});
-  }
+  auto partitions = PartitionByShard(tuples);
   IngestTicket ticket;
   for (size_t i = 0; i < partitions.size(); ++i) {
     if (partitions[i].empty()) continue;
@@ -369,36 +373,7 @@ Status ShardedStreamEngine::CheckIngestAdmission() {
 }
 
 Status ShardedStreamEngine::Ingest(const StreamTuple& tuple) {
-  if (ingest_.mode == IngestMode::kAsync) {
-    return IngestAsync({tuple}).status;
-  }
-  RC_RETURN_IF_ERROR(CheckIngestAdmission());
-  const CellKey key = mapper_ ? mapper_(tuple.key) : tuple.key;
-  Shard& shard = *shards_[static_cast<size_t>(ShardIndex(key))];
-  Status status;
-  bool changed;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const std::uint64_t before = shard.engine.revision();
-    status = shard.engine.Ingest({key, tuple.tick, tuple.value});
-    changed = shard.engine.revision() != before;
-    // Sync mode mirrors the version but does not publish: readers
-    // republish on demand (their slow path), which is exactly the
-    // mutex-gather baseline the async benches compare against.
-    shard.version.store(shard.engine.revision(), std::memory_order_release);
-  }
-  if (status.ok()) {
-    BumpClock(tuple.tick);
-  }
-  // The shard engine's revision moves exactly when observable state did
-  // (an absorbed tuple, or a rejected one that still created its cell's
-  // frame) — mirror that, so snapshot caches are invalidated precisely
-  // when they must be and never when nothing changed.
-  if (changed) {
-    revision_.fetch_add(1, std::memory_order_release);
-  }
-  MaybeEnforceBudget();
-  return status;
+  return IngestBatch({tuple}).status;
 }
 
 IngestReport ShardedStreamEngine::IngestBatch(
@@ -422,14 +397,9 @@ IngestReport ShardedStreamEngine::IngestBatch(
       return report;
     }
   }
-  std::vector<std::vector<StreamTuple>> partitions(shards_.size());
+  const auto partitions = PartitionByShard(tuples);
   TimeTick max_tick = clock_.load(std::memory_order_relaxed);
-  for (const StreamTuple& t : tuples) {
-    const CellKey key = mapper_ ? mapper_(t.key) : t.key;
-    partitions[static_cast<size_t>(ShardIndex(key))].push_back(
-        {key, t.tick, t.value});
-    max_tick = std::max(max_tick, t.tick);
-  }
+  for (const StreamTuple& t : tuples) max_tick = std::max(max_tick, t.tick);
   bool changed = false;
   for (size_t i = 0; i < shards_.size(); ++i) {
     if (partitions[i].empty()) continue;
@@ -440,6 +410,9 @@ IngestReport ShardedStreamEngine::IngestBatch(
       const std::uint64_t before = shard.engine.revision();
       shard_report = shard.engine.IngestBatch(partitions[i]);
       changed = changed || shard.engine.revision() != before;
+      // Sync mode mirrors the version but does not publish: readers
+      // republish on demand (their slow path), which is exactly the
+      // mutex-gather baseline the async benches compare against.
       shard.version.store(shard.engine.revision(),
                           std::memory_order_release);
     }
@@ -452,10 +425,12 @@ IngestReport ShardedStreamEngine::IngestBatch(
   if (report.ok()) {
     BumpClock(max_tick);
   }
-  // Earlier shards keep their prefix even on error, so any absorbed tuple
-  // (or created cell) moved some shard's revision; mirror it globally.
-  // (The clock self-corrects in the next gather/seal, which maxes over
-  // shard clocks.)
+  // A shard engine's revision moves exactly when observable state did (an
+  // absorbed tuple, or a rejected one that still created its cell's
+  // frame), and earlier shards keep their prefix even on error — mirror
+  // any move globally, so snapshot caches are invalidated precisely when
+  // they must be. (The clock self-corrects in the next gather/seal, which
+  // maxes over shard clocks.)
   if (changed) {
     revision_.fetch_add(1, std::memory_order_release);
   }
@@ -528,42 +503,8 @@ ShardedStreamEngine::GatheredCells ShardedStreamEngine::GatherAlignedCells(
     GatherMode mode) {
   if (mode == GatherMode::kFull) return GatherFull();
 
-  // Phase 0 — whole-engine cache: every read method at one revision shares
-  // one gather, so SnapshotWindow + ObservationDeck + DetectTrendChanges
-  // back to back pay for a single pass (the hit is a refcount copy).
-  {
-    const std::uint64_t rev = revision_.load(std::memory_order_acquire);
-    std::lock_guard<std::mutex> lock(gather_mu_);
-    if (gather_valid_ && gather_cache_.revision == rev) {
-      GatheredCells cached = gather_cache_;  // shares the merged run
-      cached.stats = GatherStats{};
-      cached.stats.cells = static_cast<std::int64_t>(cached.cells->size());
-      cached.stats.shards_reused = num_shards();
-      return cached;
-    }
-  }
-
-  // One merged-run rebuild at a time: concurrent builders would duplicate
-  // the splice work and race to install the result. The shards themselves
-  // are read through their published pointers (no shard lock on the
-  // steady-state path), so this is pure thundering-herd protection.
-  std::lock_guard<std::mutex> work(gather_work_mu_);
-
   GatheredCells out;
   out.revision = revision_.load(std::memory_order_acquire);
-
-  // Re-check the cache: the previous holder of the work lock probably
-  // built exactly the run we came for.
-  {
-    std::lock_guard<std::mutex> lock(gather_mu_);
-    if (gather_valid_ && gather_cache_.revision == out.revision) {
-      GatheredCells cached = gather_cache_;
-      cached.stats = GatherStats{};
-      cached.stats.cells = static_cast<std::int64_t>(cached.cells->size());
-      cached.stats.shards_reused = num_shards();
-      return cached;
-    }
-  }
 
   // Phase 1 — publications: load each shard's last published generation.
   // A fresh publication (the steady-state async case: the owner thread
@@ -574,21 +515,15 @@ ShardedStreamEngine::GatheredCells ShardedStreamEngine::GatherAlignedCells(
   std::vector<std::shared_ptr<const ShardPublication>> pubs(n);
   std::vector<GatherStats> stats(n);
   std::vector<Status> statuses(n);
-  auto gather_one = [&](std::int64_t idx) {
-    const size_t i = static_cast<size_t>(idx);
+  ForEachShard([&](size_t i) {
     pubs[i] = PublicationFor(i, &stats[i], &statuses[i]);
-  };
-  if (pool_ != nullptr && n > 1) {
-    pool_->ParallelFor(static_cast<std::int64_t>(n), gather_one);
-  } else {
-    for (size_t i = 0; i < n; ++i) gather_one(static_cast<std::int64_t>(i));
-  }
+  });
 
   // A failed republish (fault-in error on a spilled cell) poisons the
-  // whole run: return the typed error without touching the cache. Nothing
-  // was lost — the failing shard kept its dirty list and retained run, so
-  // the retry repeats exactly the failed work; fresh shards still serve
-  // their publications for free.
+  // whole run: return the typed error. Nothing was lost — the failing
+  // shard kept its dirty list and retained run, so the retry repeats
+  // exactly the failed work; fresh shards still serve their publications
+  // for free.
   for (size_t i = 0; i < n; ++i) {
     if (pubs[i] == nullptr) {
       out.status = std::move(statuses[i]);
@@ -628,28 +563,14 @@ ShardedStreamEngine::GatheredCells ShardedStreamEngine::GatherAlignedCells(
   for (const GatherStats& s : stats) out.stats.Merge(s);
   out.stats.cells = static_cast<std::int64_t>(out.cells->size());
 
-  // Install as the new cache entry. Builders are serialized, so this is
-  // strictly newer than whatever is cached; a racing writer may already
-  // have moved the revision again, in which case the next gather rebuilds
-  // from the (then fresher) publications.
-  {
-    std::lock_guard<std::mutex> lock(gather_mu_);
-    if (tracker_ != nullptr) {
-      if (gather_valid_) {
-        tracker_->Release(kGatherCacheCategory,
-                          SliceBytes(*gather_cache_.cells));
-      }
-      tracker_->Add(kGatherCacheCategory, SliceBytes(*out.cells));
-    }
-    gather_cache_ = out;  // refcount copy of the shared run
-    gather_valid_ = true;
-  }
   // The publish refresh above is the moment cells turn clean (spillable):
-  // writes
-  // and slot-sealing seals re-dirty them, so post-write enforcement can
-  // find nothing to spill in a hot-everywhere stream. Enforcing here —
+  // writes and slot-sealing seals re-dirty them, so post-write enforcement
+  // can find nothing to spill in a hot-everywhere stream. Enforcing here —
   // after the dirty lists drained, outside every shard lock — is what
-  // lets a budgeted engine actually converge under ingest/read churn.
+  // lets a budgeted engine actually converge under ingest/read churn. The
+  // run being returned holds its frames, so no rung can take them from
+  // under the caller; the facade installs its snapshot after this point,
+  // so the ladder never evicts the run this call just built.
   MaybeEnforceBudget();
   return out;
 }
@@ -663,18 +584,12 @@ ShardedStreamEngine::GatheredCells ShardedStreamEngine::GatherFull() {
   std::vector<GatherStats> stats(n);
   std::vector<Status> statuses(n);
   std::vector<TimeTick> shard_now(n, 0);
-  auto gather_one = [&](std::int64_t idx) {
-    const size_t i = static_cast<size_t>(idx);
+  ForEachShard([&](size_t i) {
     Shard& shard = *shards_[i];
     std::lock_guard<std::mutex> lock(shard.mu);
     shard_now[i] = shard.engine.now();
     statuses[i] = shard.engine.ExportCellsFull(&slices[i], &stats[i]);
-  };
-  if (pool_ != nullptr && n > 1) {
-    pool_->ParallelFor(static_cast<std::int64_t>(n), gather_one);
-  } else {
-    for (size_t i = 0; i < n; ++i) gather_one(static_cast<std::int64_t>(i));
-  }
+  });
   for (Status& s : statuses) {
     if (!s.ok()) {
       out.status = std::move(s);
@@ -707,76 +622,45 @@ ShardedStreamEngine::GatheredCells ShardedStreamEngine::GatherFull() {
 }
 
 ShardedStreamEngine::MemberGather ShardedStreamEngine::GatherCellsMatching(
-    CuboidId cuboid, const CellKey& key, PointLookup lookup) {
+    CuboidId cuboid, const CellKey& key) {
   MemberGather out;
   const size_t n = shards_.size();
-  std::vector<std::vector<CellSnapshot>> slices(n);
   std::vector<TimeTick> shard_now(n, 0);
   std::vector<std::int64_t> totals(n, 0);
 
-  if (lookup == PointLookup::kScan) {
-    // Oracle path, fully under the shard locks: every key projected, every
-    // member frozen in place — the pre-index cost model, retained for
-    // bit-identity tests.
-    std::vector<Status> statuses(n);
-    auto gather_one = [&](std::int64_t idx) {
-      const size_t i = static_cast<size_t>(idx);
-      Shard& shard = *shards_[i];
-      std::lock_guard<std::mutex> lock(shard.mu);
-      shard_now[i] = shard.engine.now();
-      totals[i] = shard.engine.num_cells();
-      statuses[i] = shard.engine.ExportMatchingCells(cuboid, key, &slices[i],
-                                                     nullptr, lookup);
-    };
-    if (pool_ != nullptr && n > 1) {
-      pool_->ParallelFor(static_cast<std::int64_t>(n), gather_one);
-    } else {
-      for (size_t i = 0; i < n; ++i) gather_one(static_cast<std::int64_t>(i));
+  // The shard lock covers only the member-index hash probe (no frame work
+  // at all); the members are then resolved against the shard's published
+  // run outside the lock. The probe-then-load order makes the RC_CHECK
+  // safe: a key the index held when we unlocked is in any publication at
+  // least that fresh (cells are never erased, and PublicationFor never
+  // serves a generation older than the last completed write).
+  std::vector<std::vector<CellKey>> members(n);
+  for (size_t i = 0; i < n; ++i) {
+    Shard& shard = *shards_[i];
+    std::lock_guard<std::mutex> lock(shard.mu);
+    shard_now[i] = shard.engine.now();
+    totals[i] = shard.engine.num_cells();
+    shard.engine.AppendMemberKeys(cuboid, key, &members[i]);
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (members[i].empty()) continue;
+    Status status;
+    auto pub = PublicationFor(i, nullptr, &status);
+    if (pub == nullptr) {
+      out.status = std::move(status);
+      out.cells.clear();
+      return out;
     }
-    for (Status& s : statuses) {
-      if (!s.ok()) {
-        out.status = std::move(s);
-        out.cells.clear();
-        return out;
-      }
-    }
-  } else {
-    // Indexed path: the shard lock covers only the member-index hash probe
-    // (no frame work at all); the members are then resolved against the
-    // shard's published run outside the lock. The probe-then-load order
-    // makes the RC_CHECK safe: a key the index held when we unlocked is in
-    // any publication at least that fresh (cells are never erased, and
-    // PublicationFor never serves a generation older than the last
-    // completed write).
-    std::vector<std::vector<CellKey>> members(n);
-    for (size_t i = 0; i < n; ++i) {
-      Shard& shard = *shards_[i];
-      std::lock_guard<std::mutex> lock(shard.mu);
-      shard_now[i] = shard.engine.now();
-      totals[i] = shard.engine.num_cells();
-      shard.engine.AppendMemberKeys(cuboid, key, &members[i]);
-    }
-    for (size_t i = 0; i < n; ++i) {
-      if (members[i].empty()) continue;
-      Status status;
-      auto pub = PublicationFor(i, nullptr, &status);
-      if (pub == nullptr) {
-        out.status = std::move(status);
-        out.cells.clear();
-        return out;
-      }
-      shard_now[i] = std::max(shard_now[i], pub->now);
-      slices[i].reserve(members[i].size());
-      for (const CellKey& member : members[i]) {
-        auto it = std::lower_bound(
-            pub->cells->begin(), pub->cells->end(), member,
-            [](const CellSnapshot& a, const CellKey& b) {
-              return CanonicalKeyLess(a.key, b);
-            });
-        RC_CHECK(it != pub->cells->end() && it->key == member)
-            << "member key missing from published run";
-        slices[i].push_back(*it);
-      }
+    shard_now[i] = std::max(shard_now[i], pub->now);
+    for (const CellKey& member : members[i]) {
+      auto it = std::lower_bound(
+          pub->cells->begin(), pub->cells->end(), member,
+          [](const CellSnapshot& a, const CellKey& b) {
+            return CanonicalKeyLess(a.key, b);
+          });
+      RC_CHECK(it != pub->cells->end() && it->key == member)
+          << "member key missing from published run";
+      out.cells.push_back(*it);
     }
   }
 
@@ -784,14 +668,6 @@ ShardedStreamEngine::MemberGather ShardedStreamEngine::GatherCellsMatching(
   for (TimeTick t : shard_now) target = std::max(target, t);
   out.clock = target;
   for (std::int64_t t : totals) out.total_cells += t;
-
-  size_t matches = 0;
-  for (const auto& slice : slices) matches += slice.size();
-  out.cells.reserve(matches);
-  for (auto& slice : slices) {
-    out.cells.insert(out.cells.end(), std::make_move_iterator(slice.begin()),
-                     std::make_move_iterator(slice.end()));
-  }
   AlignRunToClock(out.cells, target, *options_.tilt_policy,
                   /*pool=*/nullptr, /*stats=*/nullptr);
   std::sort(out.cells.begin(), out.cells.end(), CellSnapshotCanonicalLess);
@@ -815,48 +691,21 @@ std::vector<std::vector<CellKey>> ShardedStreamEngine::MemberKeysForBatch(
   return members;
 }
 
-std::vector<CellKey> ShardedStreamEngine::MemberKeysFor(CuboidId cuboid,
-                                                        const CellKey& key) {
-  return std::move(MemberKeysForBatch(cuboid, {key}).front());
-}
-
-Result<std::vector<MLayerTuple>> ShardedStreamEngine::SnapshotWindow(int level,
-                                                                     int k) {
-  GatheredCells gathered = GatherAlignedCells();
-  RC_RETURN_IF_ERROR(gathered.status);
-  return SnapshotWindowOf(*gathered.cells, level, k);
-}
-
-Result<RegressionCube> ShardedStreamEngine::ComputeCube(int level, int k) {
-  // The by-value export door must not evict a live memo of a different
-  // window (a caller alternating a (level, k) export with cube-kind
-  // drilling would otherwise force a full rebuild on every call): when
-  // the windows disagree, compute from scratch and leave the memo alone.
-  if (cube_memo_ == nullptr ||
-      cube_memo_->WouldEvictDifferentWindow(level, k)) {
-    GatheredCells gathered = GatherAlignedCells();
-    RC_RETURN_IF_ERROR(gathered.status);
-    return SnapshotCubeOf(schema_, *gathered.cells, options_, level, k,
-                          pool_.get());
-  }
-  auto shared = ComputeCubeShared(level, k);
-  if (!shared.ok()) return shared.status();
-  return (*shared)->Clone();
-}
-
 Result<std::shared_ptr<const RegressionCube>>
-ShardedStreamEngine::ComputeCubeShared(int level, int k) {
-  GatheredCells gathered = GatherAlignedCells();
-  RC_RETURN_IF_ERROR(gathered.status);
+ShardedStreamEngine::ComputeCubeShared(const GatheredCells& run, int level,
+                                       int k) {
+  RC_RETURN_IF_ERROR(run.status);
   if (cube_memo_ == nullptr) {
-    auto cube = SnapshotCubeOf(schema_, *gathered.cells, options_, level, k,
-                               pool_.get());
-    if (!cube.ok()) return cube.status();
-    return std::shared_ptr<const RegressionCube>(
-        std::make_shared<RegressionCube>(std::move(*cube)));
+    return Status::FailedPrecondition(
+        "the maintained cube needs m/o H-cubing; popular-path cubes come "
+        "from a snapshot");
   }
-  return cube_memo_->CubeFor(gathered.cells, gathered.revision, level, k,
-                             pool_.get());
+  return cube_memo_->CubeFor(run.cells, run.revision, level, k, pool_.get());
+}
+
+bool ShardedStreamEngine::CubeMemoWouldEvict(int level, int k) const {
+  return cube_memo_ == nullptr ||
+         cube_memo_->WouldEvictDifferentWindow(level, k);
 }
 
 IncrementalCubeCache::Stats ShardedStreamEngine::cube_memo_stats() const {
@@ -875,7 +724,7 @@ Result<RegressionCube> ShardedStreamEngine::ComputeCubeAllLocks(int level,
   Status aligned = AlignLocked();
   // The all-locks read force-seals lagging shards (the behavior the
   // snapshot path retired); that mutation must move the global revision or
-  // the gather caches would serve pre-seal state as current.
+  // revision-keyed snapshots would serve pre-seal state as current.
   if (SumShardRevisionsLocked() != before) {
     revision_.fetch_add(1, std::memory_order_release);
   }
@@ -901,39 +750,9 @@ Result<RegressionCube> ShardedStreamEngine::ComputeCubeAllLocks(int level,
   return ComputeCubeFromWindow(schema_, merged, options_, nullptr);
 }
 
-Result<ShardedStreamEngine::DeckSeries> ShardedStreamEngine::ObservationDeck(
-    int level) {
-  GatheredCells gathered = GatherAlignedCells();
-  RC_RETURN_IF_ERROR(gathered.status);
-  return SnapshotDeckOf(*gathered.cells, lattice_,
-                        options_.tilt_policy->num_levels(), level);
-}
-
-Result<std::vector<ShardedStreamEngine::TrendChange>>
-ShardedStreamEngine::DetectTrendChanges(int level, double threshold) {
-  GatheredCells gathered = GatherAlignedCells();
-  RC_RETURN_IF_ERROR(gathered.status);
-  return SnapshotTrendChangesOf(*gathered.cells, lattice_,
-                                options_.tilt_policy->num_levels(), level,
-                                threshold);
-}
-
-Result<Isb> ShardedStreamEngine::QueryCell(CuboidId cuboid, const CellKey& key,
-                                           int level, int k) {
-  // Validation precedes the gather; every point-query door shares it.
-  RC_RETURN_IF_ERROR(ValidatePointQueryTarget(
-      lattice_, cuboid, level, options_.tilt_policy->num_levels()));
-  MemberGather gathered = GatherCellsMatching(cuboid, key);
-  RC_RETURN_IF_ERROR(gathered.status);
-  if (gathered.total_cells == 0) return SnapshotNoDataError();
-  if (gathered.cells.empty()) {
-    return SnapshotNoMembersError(lattice_, cuboid, key);
-  }
-  return SnapshotCellOf(gathered.cells, lattice_, cuboid, key, level, k);
-}
-
-Result<std::vector<Isb>> ShardedStreamEngine::QueryCellSeries(
-    CuboidId cuboid, const CellKey& key, int level) {
+Result<SnapshotCells> ShardedStreamEngine::PointMembers(CuboidId cuboid,
+                                                       const CellKey& key,
+                                                       int level) {
   // Validation precedes the gather, in the legacy kernel's order:
   // cuboid, then level, then no-data / no-members.
   RC_RETURN_IF_ERROR(ValidatePointQueryTarget(
@@ -944,45 +763,40 @@ Result<std::vector<Isb>> ShardedStreamEngine::QueryCellSeries(
   if (gathered.cells.empty()) {
     return SnapshotNoMembersError(lattice_, cuboid, key);
   }
-  return SnapshotCellSeriesOf(gathered.cells, lattice_,
+  return std::move(gathered.cells);
+}
+
+Result<Isb> ShardedStreamEngine::QueryCell(CuboidId cuboid, const CellKey& key,
+                                           int level, int k) {
+  RC_ASSIGN_OR_RETURN(SnapshotCells members, PointMembers(cuboid, key, level));
+  return SnapshotCellOf(members, lattice_, cuboid, key, level, k);
+}
+
+Result<std::vector<Isb>> ShardedStreamEngine::QueryCellSeries(
+    CuboidId cuboid, const CellKey& key, int level) {
+  RC_ASSIGN_OR_RETURN(SnapshotCells members, PointMembers(cuboid, key, level));
+  return SnapshotCellSeriesOf(members, lattice_,
                               options_.tilt_policy->num_levels(), cuboid, key,
                               level);
 }
 
 std::int64_t ShardedStreamEngine::num_cells() const {
-  std::int64_t cells = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    cells += shard->engine.num_cells();
-  }
-  return cells;
+  return SumOverShards([](const StreamCubeEngine& e) { return e.num_cells(); });
 }
 
 std::int64_t ShardedStreamEngine::MemoryBytes() const {
-  std::int64_t bytes = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    bytes += shard->engine.MemoryBytes();
-  }
-  return bytes;
+  return SumOverShards(
+      [](const StreamCubeEngine& e) { return e.MemoryBytes(); });
 }
 
 std::int64_t ShardedStreamEngine::FrozenBytes() const {
-  std::int64_t bytes = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    bytes += shard->engine.FrozenBytes();
-  }
-  return bytes;
+  return SumOverShards(
+      [](const StreamCubeEngine& e) { return e.FrozenBytes(); });
 }
 
 std::int64_t ShardedStreamEngine::MemberIndexBytes() const {
-  std::int64_t bytes = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    bytes += shard->engine.MemberIndexBytes();
-  }
-  return bytes;
+  return SumOverShards(
+      [](const StreamCubeEngine& e) { return e.MemberIndexBytes(); });
 }
 
 Status ShardedStreamEngine::ConfigureStorage(const MemoryBudgetConfig& config) {
@@ -1018,7 +832,7 @@ Status ShardedStreamEngine::ConfigureStorage(const MemoryBudgetConfig& config) {
         config.budget_bytes, [this] { return UsageBytes(); });
     // The typed eviction ladder, cheapest-to-rebuild first. The api layer
     // registers its snapshot cache at priority 19, between the memo and
-    // the core gather caches.
+    // the per-shard published runs.
     governor_->AddRung(10, "cube.memo",
                        [this](std::int64_t) { return DropCubeMemoRung(); });
     governor_->AddRung(21, "gather.caches", [this](std::int64_t) {
@@ -1047,13 +861,10 @@ void ShardedStreamEngine::MaybeEnforceBudget() {
   if (tl_in_budget_rung) return;
   if (governor_ == nullptr) return;
   governor_->MaybeEnforce();
-  // Compaction rides the enforcement heartbeat, sampled so the per-call
-  // cost stays one relaxed fetch_add: garbage accrues a block at a time,
-  // so a ~256-call probe period bounds staleness without a new thread.
-  if (frame_store_ != nullptr &&
-      (enforce_calls_.fetch_add(1, std::memory_order_relaxed) & 0xFF) == 0) {
-    MaybeCompactSegments();
-  }
+  // Compaction rides every enforcement: the probe is one store mutex and
+  // one hash lookup per shard, cheap enough to run each time, and that is
+  // what keeps cold-tier disk within the configured garbage ratio.
+  MaybeCompactSegments();
 }
 
 void ShardedStreamEngine::MaybeCompactSegments() {
@@ -1081,8 +892,8 @@ void ShardedStreamEngine::set_fault_injector(FaultInjector* injector) {
 }
 
 std::int64_t ShardedStreamEngine::ExportDirtyRung(std::int64_t excess) {
-  // Deliberately NOT a gather: rung 21 just dropped the cached run, so a
-  // gather here would be a full export that faults every spilled cell
+  // Deliberately NOT a gather: rung 21 just dropped the published runs, so
+  // a gather here would be a full export that faults every spilled cell
   // back in — undoing rung 30's work while claiming to help. Cleaning
   // the dirty queues touches only resident cells and costs no I/O.
   ScopedFlag in_rung(tl_in_budget_rung);
@@ -1112,26 +923,11 @@ std::int64_t ShardedStreamEngine::DropCubeMemoRung() {
 
 std::int64_t ShardedStreamEngine::DropGatherCachesRung() {
   std::int64_t freed = 0;
-  {
-    // Dropping the cached run is safe against an in-flight delta gather:
-    // the builder snapshotted its base earlier and installs its result
-    // unconditionally (re-registering tracker bytes), so the only effect
-    // here is that the *next* gather starts from a full export.
-    std::lock_guard<std::mutex> lock(gather_mu_);
-    if (gather_valid_) {
-      const std::int64_t bytes = SliceBytes(*gather_cache_.cells);
-      if (tracker_ != nullptr && bytes > 0) {
-        tracker_->Release(kGatherCacheCategory, bytes);
-      }
-      freed += bytes;
-      gather_cache_ = GatheredCells{};  // drops the run's shared_ptr
-      gather_valid_ = false;
-    }
-  }
-  // Retire each shard's published generation too: the per-cell frozen
-  // blocks are only truly freed once no retained run shares them — which
-  // the drops above and below arrange. Readers that arrive before the
-  // next publish pay one locked full refreeze (the eviction trade).
+  // Retire each shard's published generation: the per-cell frozen blocks
+  // are only truly freed once no retained run shares them — which the
+  // drops below arrange (a run a reader or snapshot still holds keeps its
+  // frames until it is released). Readers that arrive before the next
+  // publish pay one locked full refreeze (the eviction trade).
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     shard->published.store(nullptr, std::memory_order_release);
@@ -1218,8 +1014,7 @@ Status ShardedStreamEngine::CheckpointTo(const std::string& dir) {
   const size_t n = shards_.size();
   std::vector<Status> statuses(n);
   std::vector<std::int64_t> counts(n, 0);
-  auto write_one = [&](std::int64_t idx) {
-    const size_t i = static_cast<size_t>(idx);
+  ForEachShard([&](size_t i) {
     std::vector<std::pair<CellKey, std::string>> cells;
     Status s = shards_[i]->engine.ExportEncodedFrames(&cells);
     if (s.ok()) {
@@ -1228,12 +1023,7 @@ Status ShardedStreamEngine::CheckpointTo(const std::string& dir) {
                     EncodeCheckpointShardFile(static_cast<int>(i), cells));
     }
     statuses[i] = std::move(s);
-  };
-  if (pool_ != nullptr && n > 1) {
-    pool_->ParallelFor(static_cast<std::int64_t>(n), write_one);
-  } else {
-    for (size_t i = 0; i < n; ++i) write_one(static_cast<std::int64_t>(i));
-  }
+  });
   for (const Status& s : statuses) {
     if (!s.ok()) return s;
   }

@@ -59,8 +59,12 @@ struct MemoryBudgetConfig {
 /// the lock and republishes — which is also how sync-mode writes become
 /// visible). The mutex shrinks to structural edits: absorb/ingest, seal
 /// and epoch roll (SealThrough / ComputeCubeAllLocks force-align), and
-/// compaction re-pointing. A whole-engine cache keyed by the global
-/// revision keeps repeat reads at one revision down to a refcount copy.
+/// compaction re-pointing. GatherAlignedCells merges the N publications
+/// into one run on every call and caches nothing: the one cache of the
+/// merged run is the facade's revision-keyed snapshot
+/// (Engine::TakeSnapshot), and every whole-run read — window, deck, trend
+/// changes, cubes — is a CubeSnapshot method or a core/snapshot_reads
+/// kernel over that run.
 /// Alignment to the global clock happens on copies outside every lock; a
 /// block is re-materialized only when the clock crossed a tilt-unit
 /// boundary since it froze (otherwise advancing is observationally a
@@ -88,8 +92,6 @@ class ShardedStreamEngine {
  public:
   using Options = StreamCubeEngine::Options;
   using Algorithm = StreamCubeEngine::Algorithm;
-  using DeckSeries = StreamCubeEngine::DeckSeries;
-  using TrendChange = StreamCubeEngine::TrendChange;
 
   /// `num_shards` must be >= 1 (checked). A non-null `pool` parallelizes
   /// shard gathering and per-cuboid cubing; null keeps reads serial.
@@ -104,9 +106,10 @@ class ShardedStreamEngine {
 
   // ---- write side (safe from many threads concurrently) ----------------
 
-  /// Absorbs one observation (locks only the owning shard). In async mode
-  /// this enqueues instead and returns the ticket's status — OK means
-  /// *accepted*, not yet absorbed; Flush() is the visibility barrier.
+  /// Absorbs one observation — IngestBatch of one tuple (locks only the
+  /// owning shard). In async mode this enqueues instead and returns the
+  /// ticket's status — OK means *accepted*, not yet absorbed; Flush() is
+  /// the visibility barrier.
   Status Ingest(const StreamTuple& tuple);
 
   /// Partitions the batch by shard and feeds each shard under its lock.
@@ -159,40 +162,41 @@ class ShardedStreamEngine {
 
   // ---- read side (gather briefly under per-shard locks, then lock-free) -
 
-  /// The gather-under-lock phase shared by every full read: frozen views
-  /// of all cells, aligned to one clock, in canonical key order. Each
-  /// shard's lock is held only while its cells are exported; alignment and
-  /// merging happen outside. The run is behind a shared_ptr so cache hits
-  /// and snapshot installs are refcount copies, never cell-by-cell copies.
-  /// The result is immutable and self-contained — the api layer wraps it
-  /// as a CubeSnapshot.
+  /// The merged run behind every full read: frozen views of all cells,
+  /// aligned to one clock, in canonical key order. Built from the shard
+  /// publications (a shard lock only for a stale shard's republish);
+  /// alignment and merging happen outside every lock. The run is behind a
+  /// shared_ptr so handing it to a snapshot or the cube memo is a refcount
+  /// copy. The result is immutable and self-contained — the api layer
+  /// wraps it as a CubeSnapshot.
   struct GatheredCells {
     std::shared_ptr<const SnapshotCells> cells;  // canonical order, aligned
     TimeTick clock = 0;          // tick the cells are aligned to
     std::uint64_t revision = 0;  // engine revision when gathering began
     GatherStats stats;           // what this gather paid
     /// Non-OK when a shard's publish failed (a spilled cell could not be
-    /// faulted in). `cells` is then empty-but-valid, nothing was cached,
-    /// and no shard lost state — the failing shard kept its dirty list
-    /// and its previous generation, and a shard that did republish
-    /// retains its run — so a retry gathers exactly the same data.
+    /// faulted in). `cells` is then empty-but-valid, and no shard lost
+    /// state — the failing shard kept its dirty list and its previous
+    /// generation, and a shard that did republish retains its run — so a
+    /// retry gathers exactly the same data.
     Status status;
   };
 
   /// kDelta shares frozen blocks for unchanged cells and serves clean
-  /// shards (or a clean engine) from the caches — O(changed cells).
-  /// kFull deep-copies every frame and bypasses every cache — the
-  /// O(all cells) pre-redesign baseline, bit-identical to kDelta, kept
+  /// shards from their publications — O(changed cells) frame copies plus
+  /// an O(cells) pointer merge. Each call builds a fresh run; callers that
+  /// read one revision repeatedly hold the result (the facade's snapshot
+  /// cache does). kFull deep-copies every frame and bypasses every cache —
+  /// the O(all cells) pre-redesign baseline, bit-identical to kDelta, kept
   /// for benches and equivalence tests.
   enum class GatherMode { kDelta, kFull };
   GatheredCells GatherAlignedCells(GatherMode mode = GatherMode::kDelta);
 
   /// The member-only gather behind point queries: frozen views of just the
   /// m-layer cells that roll up into `key` of `cuboid`, aligned to the
-  /// global clock, in canonical key order. With PointLookup::kIndexed (the
-  /// default) each shard hash-probes its ingest-maintained per-cuboid
-  /// roll-up index under its lock — O(matching members), no cell scan;
-  /// kScan retains the project-every-key path as the bit-identity oracle.
+  /// global clock, in canonical key order. Each shard hash-probes its
+  /// ingest-maintained per-cuboid roll-up index under its lock —
+  /// O(matching members), no cell scan.
   /// `total_cells` distinguishes "engine empty" from "no member matches"
   /// for the legacy error contract.
   struct MemberGather {
@@ -201,8 +205,7 @@ class ShardedStreamEngine {
     std::int64_t total_cells = 0;  // all cells across shards at gather time
     Status status;  // non-OK when a member's fault-in failed (Unavailable)
   };
-  MemberGather GatherCellsMatching(CuboidId cuboid, const CellKey& key,
-                                   PointLookup lookup = PointLookup::kIndexed);
+  MemberGather GatherCellsMatching(CuboidId cuboid, const CellKey& key);
 
   /// The m-layer keys that roll up into each of `keys` in `cuboid`,
   /// merged across shards into canonical key order — the member feed the
@@ -211,32 +214,26 @@ class ShardedStreamEngine {
   std::vector<std::vector<CellKey>> MemberKeysForBatch(
       CuboidId cuboid, const std::vector<CellKey>& keys);
 
-  /// Single-key convenience over MemberKeysForBatch.
-  std::vector<CellKey> MemberKeysFor(CuboidId cuboid, const CellKey& key);
+  /// The maintained cube (m/o H-cubing only) over `run`'s (level, k)
+  /// window: cached keyed by the run's revision, and on a later run only
+  /// the cells whose frames changed are folded into it — each changed leaf
+  /// updated in the memoized H-tree, every cuboid cell it rolls up into
+  /// re-aggregated in kernel order, the exception predicate re-evaluated
+  /// only for those touched cells. Bit-identical to from-scratch H-cubing
+  /// over the same window (the patch replays the kernel's exact operand
+  /// order; structural changes and window-interval rolls rebuild via the
+  /// from-scratch kernel itself). Returns `run.status` when the gather
+  /// failed, and FailedPrecondition for popular-path engines, which have
+  /// no memo (their cubes come from CubeSnapshot). The returned cube is
+  /// immutable and safe to hold across writes.
+  Result<std::shared_ptr<const RegressionCube>> ComputeCubeShared(
+      const GatheredCells& run, int level, int k);
 
-  /// Merged m-layer window over the most recent `k` sealed slots of tilt
-  /// `level`, in canonical key order.
-  Result<std::vector<MLayerTuple>> SnapshotWindow(int level, int k);
-
-  /// The partially materialized cube over that window with the configured
-  /// algorithm, by value (a deep copy when served from the maintained
-  /// memo) — for callers that persist or hand the cube elsewhere.
-  /// ComputeCubeShared is the cheap door. Gathers first, then cubes
-  /// lock-free — concurrent ingest keeps flowing.
-  Result<RegressionCube> ComputeCube(int level, int k);
-
-  /// The maintained cube (m/o H-cubing only): cached keyed by engine
-  /// revision, and on a later query only the delta gather's changed cells
-  /// are folded into it — each changed leaf updated in the memoized
-  /// H-tree, every cuboid cell it rolls up into re-aggregated in kernel
-  /// order, the exception predicate re-evaluated only for those touched
-  /// cells. Bit-identical to from-scratch H-cubing over the same window
-  /// (the patch replays the kernel's exact operand order; structural
-  /// changes and window-interval rolls rebuild via the from-scratch
-  /// kernel itself). Popular-path engines always compute from scratch
-  /// here. The returned cube is immutable and safe to hold across writes.
-  Result<std::shared_ptr<const RegressionCube>> ComputeCubeShared(int level,
-                                                                  int k);
+  /// True iff ComputeCubeShared(run, level, k) would replace a live memo
+  /// of a *different* window (or there is no memo at all) — the signal for
+  /// by-value exporters to cube from scratch instead of clobbering the
+  /// memo cube-kind queries are riding.
+  bool CubeMemoWouldEvict(int level, int k) const;
 
   /// Maintenance counters of the incremental cube memo (zeroes for
   /// popular-path engines, which have no memo).
@@ -247,18 +244,10 @@ class ShardedStreamEngine {
   std::int64_t CubeMemoBytes() const;
 
   /// The retired pre-redesign read: holds every shard lock for the whole
-  /// cubing computation. Identical results to ComputeCube; kept only as
-  /// the baseline for bench_snapshot_reads and the bit-identity tests.
+  /// cubing computation. Identical results to cubing a gathered run; kept
+  /// only as the baseline for bench_snapshot_reads and the bit-identity
+  /// tests.
   Result<RegressionCube> ComputeCubeAllLocks(int level, int k);
-
-  /// Observation deck merged across shards (§4.2 semantics of the single
-  /// engine).
-  Result<DeckSeries> ObservationDeck(int level);
-
-  /// O-layer cells whose slope moved by >= `threshold` between the last
-  /// two sealed slots of `level`, strongest change first.
-  Result<std::vector<TrendChange>> DetectTrendChanges(int level,
-                                                      double threshold);
 
   /// On-the-fly regression of one cell of any lattice cuboid, aggregated
   /// from member cells across all shards via the member-only gather —
@@ -299,8 +288,9 @@ class ShardedStreamEngine {
     return revision_.load(std::memory_order_acquire);
   }
 
-  /// Installs analytic memory accounting for the frozen-block and gather
-  /// caches ("snapshot.frozen_frames" / "snapshot.gather_cache"). Not
+  /// Installs analytic memory accounting for the per-shard frozen blocks
+  /// and published runs ("snapshot.frozen_frames" /
+  /// "snapshot.gather_cache"), the ingest queues and the cube memo. Not
   /// owned; must outlive the engine. Install before concurrent use.
   void set_memory_tracker(MemoryTracker* tracker);
 
@@ -309,7 +299,7 @@ class ShardedStreamEngine {
   /// Builds the cold tier and/or governor per `config`: opens the frame
   /// store (when a spill dir is configured), attaches it to every shard,
   /// and stands up the MemoryGovernor with the core eviction ladder —
-  /// cube memo (priority 10), gather caches + frozen blocks (21), cold
+  /// cube memo (priority 10), published runs + frozen blocks (21), cold
   /// spill (30); the api layer adds its snapshot cache at 19. Call once,
   /// after set_memory_tracker and before concurrent use. Enforcement then
   /// runs after every sync ingest and on the owner threads' post-batch
@@ -325,9 +315,9 @@ class ShardedStreamEngine {
   const FrameStore* frame_store() const { return frame_store_.get(); }
 
   /// Runs the eviction ladder if usage exceeds the budget (no-op without a
-  /// governor). Public so tests can force an enforcement point. Every
-  /// ~256th call also probes the spill segments for compaction-worthy
-  /// garbage (see MaybeCompactSegments).
+  /// governor), then probes the spill segments for compaction-worthy
+  /// garbage (see MaybeCompactSegments). Public so tests can force an
+  /// enforcement point.
   void MaybeEnforceBudget();
 
   /// Compacts any shard spill segment whose garbage crossed the configured
@@ -337,8 +327,8 @@ class ShardedStreamEngine {
   /// re-pointed at the new file before the lock drops — readers can never
   /// observe a ref into a retired segment. A failed compaction is counted
   /// (SpillStats::compaction_failures) and leaves the old segment intact.
-  /// Public so tests and the CLI can force a pass; normally sampled from
-  /// MaybeEnforceBudget.
+  /// Public so tests and the CLI can force a pass; normally run from
+  /// every MaybeEnforceBudget.
   void MaybeCompactSegments();
 
   /// Installs the fault-injection seam on the cold tier (now, if the store
@@ -408,6 +398,26 @@ class ShardedStreamEngine {
   };
 
   int ShardIndex(const CellKey& mapped_key) const;
+
+  /// Maps every tuple's key and splits the batch by owning shard; per-cell
+  /// tick order is preserved within each partition.
+  std::vector<std::vector<StreamTuple>> PartitionByShard(
+      const std::vector<StreamTuple>& tuples) const;
+
+  /// Runs `fn(i)` for every shard index, across the read pool when there
+  /// is one.
+  void ForEachShard(const std::function<void(size_t)>& fn);
+
+  /// Sums `read(engine)` over every shard engine, each under its lock.
+  std::int64_t SumOverShards(
+      const std::function<std::int64_t(const StreamCubeEngine&)>& read) const;
+
+  /// The point-query doors' shared front half: validates the target
+  /// (cuboid, then level — the frame kernels CHECK rather than return),
+  /// gathers the members, and maps "engine empty" / "no member matches"
+  /// to the legacy errors.
+  Result<SnapshotCells> PointMembers(CuboidId cuboid, const CellKey& key,
+                                     int level);
 
   /// Raises the global clock to at least `t` (lock-free fetch-max).
   void BumpClock(TimeTick t);
@@ -485,18 +495,6 @@ class ShardedStreamEngine {
   /// exports, sorted, merged, aligned per cell. Bypasses every cache.
   GatheredCells GatherFull();
 
-  // Whole-engine gather cache: every full read at one revision shares one
-  // gather (SnapshotWindow, ObservationDeck, DetectTrendChanges, the
-  // facade's TakeSnapshot all route here). A miss rebuilds the merged run
-  // from the per-shard publications (mutex-free for every shard whose
-  // generation is fresh). gather_work_mu_ serializes the rebuilds — pure
-  // thundering-herd protection now that publications retain their runs;
-  // correctness no longer depends on it.
-  std::mutex gather_mu_;
-  std::mutex gather_work_mu_;
-  bool gather_valid_ = false;
-  GatheredCells gather_cache_;
-
   // The maintained cube (see ComputeCubeShared). Null for popular-path
   // engines — their cubes are not patchable, so they stay from-scratch.
   std::unique_ptr<IncrementalCubeCache> cube_memo_;
@@ -509,7 +507,6 @@ class ShardedStreamEngine {
   std::unique_ptr<FrameStore> frame_store_;
   std::unique_ptr<MemoryGovernor> governor_;
   FaultInjector* fault_injector_ = nullptr;
-  std::atomic<std::int64_t> enforce_calls_{0};   // compaction probe sampler
   std::atomic<std::int64_t> budget_rejects_{0};  // typed ingest rejects
 
   // The async ingest subsystem (empty in sync mode). writers_ is the LAST

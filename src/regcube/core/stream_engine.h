@@ -182,7 +182,7 @@ class StreamCubeEngine {
 
   /// An immutable canonical-key-ordered run of frozen cells, shared
   /// between the engine's retained published run, the per-shard published
-  /// generation, the sharded gather cache, and any snapshots holding them.
+  /// generation, and any merged runs or snapshots holding them.
   using FrozenSlice = std::shared_ptr<const std::vector<CellSnapshot>>;
 
   /// Brings this engine's retained published run up to date and hands it
@@ -214,22 +214,6 @@ class StreamCubeEngine {
   /// surfaces as a typed Unavailable (out may hold a partial run the
   /// caller must discard).
   Status ExportCellsFull(std::vector<CellSnapshot>* out, GatherStats* stats);
-
-  /// Frozen views of only the m-layer cells that roll up into `key` of
-  /// `cuboid` — the member-only gather behind point queries. With
-  /// PointLookup::kIndexed (the default) the ingest-maintained per-cuboid
-  /// roll-up index is hash-probed — O(matching members), no cell scan
-  /// (the cuboid's map is built once, on its first point query). kScan
-  /// retains the pre-index path — every key projected under the caller's
-  /// lock — as the oracle for bit-identity tests and benches. Both export
-  /// the same member set (sharing frozen blocks exactly like
-  /// ExportFrozenCells); only the lookup cost differs. Pre: `cuboid` is a
-  /// valid lattice id (callers validate; see SnapshotBadCuboidError).
-  /// Fault-in failures surface as typed Unavailable.
-  Status ExportMatchingCells(CuboidId cuboid, const CellKey& key,
-                             std::vector<CellSnapshot>* out,
-                             GatherStats* stats,
-                             PointLookup lookup = PointLookup::kIndexed);
 
   /// Appends the m-layer keys that roll up into `key` of `cuboid` (index
   /// probe, activating the cuboid's map on first use) — the member feed

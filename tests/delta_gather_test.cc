@@ -1,7 +1,8 @@
 // O(changed-cells) gather contracts: the delta gather (frozen blocks shared
-// for clean cells, patch exports folded into the cached run) must stay
-// bit-identical to a from-scratch full gather and to ComputeCubeAllLocks
-// under randomized ingest interleaved with snapshots, for shard counts
+// for clean cells, patch exports folded into each shard's published run)
+// must stay bit-identical to a from-scratch full gather and to
+// ComputeCubeAllLocks under randomized ingest interleaved with snapshots,
+// for shard counts
 // {1, 2, 8}; seals that change nothing must not move the revision; point
 // queries routed through the member-only gather must match a full-snapshot
 // scan and keep the legacy error contract; concurrent churn + TakeSnapshot
@@ -26,6 +27,7 @@ namespace {
 
 using equivalence::ChurnEngineOptions;
 using equivalence::ChurnWorkload;
+using equivalence::CubeOf;
 using equivalence::ExpectCellMapsIdentical;
 using equivalence::ExpectGathersIdentical;
 using equivalence::Key2;
@@ -75,7 +77,7 @@ TEST(DeltaGatherTest, MatchesFullGatherUnderRandomizedChurn) {
 
     // End-state: the delta-gathered window also matches the retained
     // all-locks oracle bit for bit (m-layer and o-layer).
-    auto snapshot_cube = engine.ComputeCube(0, 4);
+    auto snapshot_cube = CubeOf(engine, 0, 4);
     auto locked_cube = engine.ComputeCubeAllLocks(0, 4);
     ASSERT_TRUE(snapshot_cube.ok()) << snapshot_cube.status().ToString();
     ASSERT_TRUE(locked_cube.ok()) << locked_cube.status().ToString();

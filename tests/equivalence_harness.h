@@ -5,11 +5,19 @@
 // claims "maintained structure X is bit-identical to oracle Y under churn"
 // (delta gathers, the incremental cube memo, the member index, shard-count
 // invariance) drives the same seeded workload churn through these helpers
-// and compares against the same oracles (`GatherMode::kFull` exports,
-// `SnapshotCubeOf` from-scratch cubing, `ComputeCubeAllLocks`,
-// `PointLookup::kScan` member gathers), so a new maintained structure gets
-// the oracle treatment by adding one check callback instead of re-growing
-// a private copy of the driver.
+// and compares against the same oracles, so a new maintained structure
+// gets the oracle treatment by adding one check callback instead of
+// re-growing a private copy of the driver. The oracles:
+//  - `GatherMode::kFull` exports (copy-everything gather, in the library);
+//  - `ComputeCubeAllLocks` (hold-every-lock cubing, in the library);
+//  - `ScratchCube` / `CubeOf`: from-scratch `SnapshotCubeOf` over a
+//    gathered run;
+//  - `ScanMembers`: the member-only gather rebuilt as a projection scan of
+//    every key of a `GatherAlignedCells()` run (the oracle for the
+//    ingest-maintained member index);
+//  - `WindowOf` / `DeckOf` / `TrendChangesOf`: the core/snapshot_reads
+//    kernels over one gathered run — the whole-run reads the sharded core
+//    leaves to CubeSnapshot.
 //
 // Everything here asserts *bitwise* equality: the structures under test
 // are caching/indexing strategies, not numerics changes, so no tolerance
@@ -190,7 +198,7 @@ inline void ExpectGathersIdentical(
 }
 
 /// Bitwise equality of two member-only gathers (e.g. the indexed path vs
-/// the retained scan oracle).
+/// the ScanMembers oracle).
 inline void ExpectMemberGathersIdentical(
     const ShardedStreamEngine::MemberGather& actual,
     const ShardedStreamEngine::MemberGather& expected, int num_levels) {
@@ -241,6 +249,73 @@ inline RegressionCube ScratchCube(std::shared_ptr<const CubeSchema> schema,
                              nullptr);
   EXPECT_TRUE(cube.ok()) << cube.status().ToString();
   return std::move(cube).value();
+}
+
+/// The maintained cube over the engine's current gather — what the facade's
+/// cube-side queries serve from their snapshot's run.
+inline Result<std::shared_ptr<const RegressionCube>> MaintainedCube(
+    ShardedStreamEngine& engine, int level, int k) {
+  return engine.ComputeCubeShared(engine.GatherAlignedCells(), level, k);
+}
+
+/// The window of one gathered run (CubeSnapshot::Window's kernel).
+inline Result<std::vector<MLayerTuple>> WindowOf(ShardedStreamEngine& engine,
+                                                 int level, int k) {
+  auto run = engine.GatherAlignedCells();
+  RC_RETURN_IF_ERROR(run.status);
+  return SnapshotWindowOf(*run.cells, level, k);
+}
+
+/// The cube over one gathered run, cubed from scratch with the engine's
+/// configured algorithm (CubeSnapshot::ComputeCube's kernel).
+inline Result<RegressionCube> CubeOf(ShardedStreamEngine& engine, int level,
+                                     int k) {
+  auto run = engine.GatherAlignedCells();
+  RC_RETURN_IF_ERROR(run.status);
+  // Non-owning: the schema outlives this call inside the engine.
+  std::shared_ptr<const CubeSchema> schema(
+      std::shared_ptr<const CubeSchema>(), &engine.schema());
+  return SnapshotCubeOf(std::move(schema), *run.cells, engine.options(),
+                        level, k, nullptr);
+}
+
+/// The observation deck of one gathered run.
+inline Result<StreamCubeEngine::DeckSeries> DeckOf(
+    ShardedStreamEngine& engine, int level) {
+  auto run = engine.GatherAlignedCells();
+  RC_RETURN_IF_ERROR(run.status);
+  return SnapshotDeckOf(*run.cells, engine.lattice(),
+                        engine.options().tilt_policy->num_levels(), level);
+}
+
+/// The trend changes of one gathered run.
+inline Result<std::vector<StreamCubeEngine::TrendChange>> TrendChangesOf(
+    ShardedStreamEngine& engine, int level, double threshold) {
+  auto run = engine.GatherAlignedCells();
+  RC_RETURN_IF_ERROR(run.status);
+  return SnapshotTrendChangesOf(*run.cells, engine.lattice(),
+                                engine.options().tilt_policy->num_levels(),
+                                level, threshold);
+}
+
+/// The scan oracle for GatherCellsMatching: every key of one
+/// GatherAlignedCells() run projected through the lattice, matches kept in
+/// the run's canonical order. Same clock and total-cell count as the
+/// indexed gather, so the two compare bit for bit. Pre: `cuboid` is a
+/// valid lattice id (point-query doors validate first).
+inline ShardedStreamEngine::MemberGather ScanMembers(
+    ShardedStreamEngine& engine, CuboidId cuboid, const CellKey& key) {
+  auto run = engine.GatherAlignedCells();
+  ShardedStreamEngine::MemberGather out;
+  out.status = run.status;
+  out.clock = run.clock;
+  out.total_cells = static_cast<std::int64_t>(run.cells->size());
+  for (const CellSnapshot& cell : *run.cells) {
+    if (engine.lattice().ProjectMLayerKey(cell.key, cuboid) == key) {
+      out.cells.push_back(cell);
+    }
+  }
+  return out;
 }
 
 // -------------------------------------------------------------- churn driver

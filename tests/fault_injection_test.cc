@@ -305,6 +305,13 @@ TEST(CompactionTest, RenameFaultIsCountedNotFatal) {
   Engine engine = std::move(built).value();
   ASSERT_TRUE(engine.IngestBatch(gen.GenerateStream()).ok());
   ASSERT_TRUE(engine.SealThrough(spec.series_length - 1).ok());
+
+  // Every swap rename fails: each compaction — the ones every budget check
+  // runs during the churn and the forced one below — is abandoned and
+  // counted, ingest carries on, and the old segment (with its garbage)
+  // keeps serving reads.
+  inj.Reset();
+  inj.FailNth(FaultOp::kRename, 1, /*repeat=*/true);
   for (int round = 0; round < 6; ++round) {
     for (size_t c = 0; c < gen.cells().size(); ++c) {
       ASSERT_TRUE(
@@ -312,11 +319,6 @@ TEST(CompactionTest, RenameFaultIsCountedNotFatal) {
     }
   }
   ASSERT_GT(engine.SpillStats().garbage_bytes, 0);
-
-  // The swap rename fails: the compaction is abandoned, counted, and the
-  // old segment (with its garbage) keeps serving reads.
-  inj.Reset();
-  inj.FailNth(FaultOp::kRename, 1, /*repeat=*/true);
   engine.CompactSegments();
   const SpillStats broken = engine.SpillStats();
   EXPECT_GT(broken.compaction_failures, 0);

@@ -301,6 +301,111 @@ TEST(MemoryBudgetTest, FacadeStaysUnderBudgetAndAnswersIdentically) {
   }
 }
 
+// ------------------------------------------- one merged run per revision
+
+TEST(MemoryBudgetTest, DrillingOneRevisionReusesItsSnapshot) {
+  // The §4.5 loop under a budget below steady usage: one snapshot per
+  // sealed unit, then cube-side drilling into it. The budget check inside
+  // the snapshot's gather runs before the snapshot is cached, so the
+  // ladder cannot evict the run the analyst is about to drill: the drill
+  // queries reuse that snapshot's run (no re-gather, no fault-ins) and the
+  // next take at the same revision hands back the very same snapshot.
+  WorkloadSpec spec = ChurnWorkload(/*tuples=*/200, /*ticks=*/24,
+                                    /*seed=*/71);
+  StreamGenerator gen(spec);
+  const auto stream = gen.GenerateStream();
+  EngineBuilder builder;
+  builder.SetSchema(*MakeWorkloadSchemaPtr(spec))
+      .SetTiltPolicy(SmallTiltPolicy())
+      .SetExceptionPolicy(ExceptionPolicy(0.02))
+      .SetShardCount(2);
+  auto oracle = builder.Build();
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  ASSERT_TRUE(oracle->IngestBatch(stream).ok());
+  ASSERT_TRUE(oracle->SealThrough(spec.series_length - 1).ok());
+  const std::int64_t steady = oracle->memory_tracker().current_bytes();
+  ASSERT_GT(steady, 0);
+
+  auto built = builder.SetMemoryBudget(steady / 4)
+                   .SetSpillDir(FreshDir("one_run_per_revision"))
+                   .Build();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  Engine engine = std::move(built).value();
+  ASSERT_TRUE(engine.IngestBatch(stream).ok());
+  ASSERT_TRUE(engine.SealThrough(spec.series_length - 1).ok());
+
+  auto snap = engine.TakeSnapshot();
+  ASSERT_TRUE(snap->status().ok()) << snap->status().ToString();
+  const SpillStats after_take = engine.SpillStats();
+  ASSERT_GT(after_take.enforcements, 0);
+  ASSERT_GT(after_take.spilled_cells, 0);
+
+  auto top = engine.Query(QuerySpec::TopExceptions(5, 0, 4));
+  ASSERT_TRUE(top.ok()) << top.status().ToString();
+  ASSERT_FALSE(top->cells().empty());
+  const CellResult& lead = top->cells().front();
+  auto drill =
+      engine.Query(QuerySpec::DrillDown(lead.cuboid, lead.key, 0, 4));
+  ASSERT_TRUE(drill.ok()) << drill.status().ToString();
+
+  EXPECT_EQ(engine.TakeSnapshot().get(), snap.get());
+  EXPECT_EQ(engine.SpillStats().fault_ins, after_take.fault_ins);
+
+  // And the answers are the all-RAM oracle's, bit for bit.
+  auto want = oracle->Query(QuerySpec::TopExceptions(5, 0, 4));
+  ASSERT_TRUE(want.ok());
+  ASSERT_EQ(want->cells().size(), top->cells().size());
+  for (size_t i = 0; i < want->cells().size(); ++i) {
+    EXPECT_EQ(want->cells()[i].key, top->cells()[i].key);
+    EXPECT_EQ(want->cells()[i].isb, top->cells()[i].isb);
+  }
+}
+
+TEST(MemoryBudgetTest, EveryBudgetCheckProbesCompaction) {
+  // Budgeted churn with no explicit CompactSegments, over far fewer than
+  // 256 budget checks: each re-ingest of a spilled cell faults it in and
+  // turns its old block into garbage, and every budget check probes the
+  // segments, so compaction keeps up as the garbage accrues and the cold
+  // tier's disk stays within the configured garbage ratio.
+  WorkloadSpec spec = ChurnWorkload(/*tuples=*/120, /*ticks=*/16,
+                                    /*seed=*/97);
+  StreamGenerator gen(spec);
+  constexpr double kRatio = 0.5;
+  constexpr std::int64_t kMinBytes = 1;
+  constexpr int kShards = 2;
+  auto built = EngineBuilder()
+                   .SetSchema(*MakeWorkloadSchemaPtr(spec))
+                   .SetTiltPolicy(SmallTiltPolicy())
+                   .SetShardCount(kShards)
+                   .SetMemoryBudget(1)
+                   .SetSpillDir(FreshDir("compaction_every_check"))
+                   .SetCompactThreshold(kRatio)
+                   .SetCompactMinBytes(kMinBytes)
+                   .Build();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  Engine engine = std::move(built).value();
+  ASSERT_TRUE(engine.IngestBatch(gen.GenerateStream()).ok());
+  ASSERT_TRUE(engine.SealThrough(spec.series_length - 1).ok());
+
+  for (int round = 0; round < 20; ++round) {
+    std::vector<StreamTuple> churn;
+    for (const auto& cell : gen.cells()) {
+      churn.push_back({cell.key, spec.series_length, 1.0});
+    }
+    ASSERT_TRUE(engine.IngestBatch(churn).ok());
+  }
+
+  const SpillStats spill = engine.SpillStats();
+  ASSERT_LT(spill.enforcements, 256) << "the premise: few budget checks";
+  EXPECT_GT(spill.reclaimed_bytes, 0);
+  EXPECT_GT(spill.compactions, 0);
+  EXPECT_EQ(spill.compaction_failures, 0);
+  EXPECT_LE(spill.garbage_bytes,
+            static_cast<std::int64_t>(kRatio * spill.live_bytes) +
+                kShards * kMinBytes);
+  EXPECT_LE(spill.disk_bytes, 2 * spill.live_bytes);
+}
+
 // ------------------------------------------------- all-dirty convergence
 
 /// Randomized churn with NO interleaved reads: every resident cell stays

@@ -359,15 +359,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, AlgorithmFuzzTest, ::testing::Range(0, 20));
 
 /// The scan-path oracle for Engine::Query(kCell): replays the sharded
 /// QueryCell contract (cuboid, level, no-data, no-members, kernel) but
-/// locates members with the retained O(cells) projection scan instead of
-/// the index.
+/// locates members with the O(cells) projection scan over a gathered run
+/// (equivalence::ScanMembers) instead of the index.
 Result<Isb> ScanOracleCell(ShardedStreamEngine& engine, int num_levels,
                            CuboidId cuboid, const CellKey& key, int level,
                            int k) {
   RC_RETURN_IF_ERROR(
       ValidatePointQueryTarget(engine.lattice(), cuboid, level, num_levels));
-  auto gathered =
-      engine.GatherCellsMatching(cuboid, key, PointLookup::kScan);
+  auto gathered = equivalence::ScanMembers(engine, cuboid, key);
   if (gathered.total_cells == 0) return SnapshotNoDataError();
   if (gathered.cells.empty()) {
     return SnapshotNoMembersError(engine.lattice(), cuboid, key);
@@ -382,8 +381,7 @@ Result<std::vector<Isb>> ScanOracleSeries(ShardedStreamEngine& engine,
                                           const CellKey& key, int level) {
   RC_RETURN_IF_ERROR(
       ValidatePointQueryTarget(engine.lattice(), cuboid, level, num_levels));
-  auto gathered =
-      engine.GatherCellsMatching(cuboid, key, PointLookup::kScan);
+  auto gathered = equivalence::ScanMembers(engine, cuboid, key);
   if (gathered.total_cells == 0) return SnapshotNoDataError();
   if (gathered.cells.empty()) {
     return SnapshotNoMembersError(engine.lattice(), cuboid, key);

@@ -1,8 +1,9 @@
 // Incremental cube maintenance contracts: the maintained cube memo
-// (IncrementalCubeCache behind ShardedStreamEngine::ComputeCubeShared and
-// the facade's cube-side Query kinds) must be bit-identical to from-scratch
-// m/o H-cubing (and to the ComputeCubeAllLocks oracle) across shard counts
-// {1, 2, 8} under randomized churn; it must survive no-op seals and
+// (IncrementalCubeCache behind ShardedStreamEngine::ComputeCubeShared, fed
+// the facade snapshot's run by the cube-side Query kinds) must be
+// bit-identical to from-scratch m/o H-cubing (and to the
+// ComputeCubeAllLocks oracle) across shard counts {1, 2, 8} under
+// randomized churn; it must survive no-op seals and
 // boundary-free alignment without recomputing; churn must invalidate it
 // precisely (open-slot churn revalidates, sealed-window churn patches,
 // structural changes — new cells, window rolls, a different (level, k) —
@@ -29,10 +30,12 @@ namespace {
 
 using equivalence::ChurnEngineOptions;
 using equivalence::ChurnWorkload;
+using equivalence::CubeOf;
 using equivalence::ExpectCellMapsIdentical;
 using equivalence::ExpectCubesIdentical;
 using equivalence::FreshKeyOutside;
 using equivalence::Key2;
+using equivalence::MaintainedCube;
 using equivalence::ScratchCube;
 using equivalence::SmallTiltPolicy;
 
@@ -87,7 +90,7 @@ TEST(IncrementalCubeTest, MaintainedCubeMatchesScratchUnderRandomizedChurn) {
     plan.fresh_key = FreshKeyOutside(gen, 16);
 
     equivalence::RunChurnRounds(engine, gen.cells(), plan, [&](int) {
-      auto maintained = engine.ComputeCubeShared(0, 2);
+      auto maintained = MaintainedCube(engine, 0, 2);
       ASSERT_TRUE(maintained.ok()) << maintained.status().ToString();
       RegressionCube scratch =
           ScratchCube(*schema, engine, LagOptions(), 0, 2);
@@ -97,7 +100,7 @@ TEST(IncrementalCubeTest, MaintainedCubeMatchesScratchUnderRandomizedChurn) {
     const auto stats = engine.cube_memo_stats();
     EXPECT_GT(stats.patches, 0) << "churn never exercised the patch path";
     EXPECT_GT(stats.rebuilds, 1) << "structural churn never rebuilt";
-    auto last = engine.ComputeCubeShared(0, 2);
+    auto last = MaintainedCube(engine, 0, 2);
     ASSERT_TRUE(last.ok());
     o_layers.push_back((*last)->o_layer());
   }
@@ -121,7 +124,7 @@ TEST(IncrementalCubeTest, MatchesAllLocksOracleAcrossShardCounts) {
 
     // Barrier-style flow: everyone is at one clock, so the all-locks
     // oracle's align is a no-op and all three doors must agree bitwise.
-    auto maintained = engine.ComputeCubeShared(0, 2);
+    auto maintained = MaintainedCube(engine, 0, 2);
     ASSERT_TRUE(maintained.ok()) << maintained.status().ToString();
     auto locked = engine.ComputeCubeAllLocks(0, 2);
     ASSERT_TRUE(locked.ok()) << locked.status().ToString();
@@ -146,12 +149,12 @@ TEST(IncrementalCubeTest, MemoSurvivesNoOpSealsAndBoundaryFreeAlignment) {
   ASSERT_TRUE(engine.IngestBatch(gen.GenerateStream()).ok());
   ASSERT_TRUE(engine.SealThrough(spec.series_length - 1).ok());
 
-  auto first = engine.ComputeCubeShared(0, 2);
+  auto first = MaintainedCube(engine, 0, 2);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   EXPECT_EQ(engine.cube_memo_stats().rebuilds, 1);
 
   // Same revision: a pure hit, the same cube object.
-  auto hit = engine.ComputeCubeShared(0, 2);
+  auto hit = MaintainedCube(engine, 0, 2);
   ASSERT_TRUE(hit.ok());
   EXPECT_EQ(hit->get(), first->get());
   EXPECT_EQ(engine.cube_memo_stats().hits, 1);
@@ -159,7 +162,7 @@ TEST(IncrementalCubeTest, MemoSurvivesNoOpSealsAndBoundaryFreeAlignment) {
   // No-op re-seals: the revision does not move, the memo answers as hits.
   ASSERT_TRUE(engine.SealThrough(spec.series_length - 1).ok());
   ASSERT_TRUE(engine.SealThrough(spec.series_length - 3).ok());
-  auto after_seal = engine.ComputeCubeShared(0, 2);
+  auto after_seal = MaintainedCube(engine, 0, 2);
   ASSERT_TRUE(after_seal.ok());
   EXPECT_EQ(after_seal->get(), first->get());
   EXPECT_EQ(engine.cube_memo_stats().hits, 2);
@@ -169,7 +172,7 @@ TEST(IncrementalCubeTest, MemoSurvivesNoOpSealsAndBoundaryFreeAlignment) {
   // ([8,12) here), the revision moves, but no sealed window does — the
   // memo is revalidated in O(changed cells), not recomputed.
   ASSERT_TRUE(engine.SealThrough(10).ok());
-  auto aligned = engine.ComputeCubeShared(0, 2);
+  auto aligned = MaintainedCube(engine, 0, 2);
   ASSERT_TRUE(aligned.ok());
   EXPECT_EQ(aligned->get(), first->get());
   EXPECT_EQ(engine.cube_memo_stats().revalidations, 1);
@@ -177,7 +180,7 @@ TEST(IncrementalCubeTest, MemoSurvivesNoOpSealsAndBoundaryFreeAlignment) {
 
   // Open-slot churn: same verdict, still the same cube object.
   ASSERT_TRUE(engine.Ingest({gen.cells()[0].key, 11, 2.0}).ok());
-  auto revalidated = engine.ComputeCubeShared(0, 2);
+  auto revalidated = MaintainedCube(engine, 0, 2);
   ASSERT_TRUE(revalidated.ok());
   EXPECT_EQ(revalidated->get(), first->get());
   auto stats = engine.cube_memo_stats();
@@ -194,7 +197,7 @@ TEST(IncrementalCubeTest, SealedWindowChurnPatchesInsteadOfRebuilding) {
   StreamGenerator gen(spec);
   SeedLagging(engine, gen);
 
-  ASSERT_TRUE(engine.ComputeCubeShared(0, 2).ok());
+  ASSERT_TRUE(MaintainedCube(engine, 0, 2).ok());
 
   // Late data into the globally sealed [4,8): exactly the patch shape.
   for (int i = 0; i < 3; ++i) {
@@ -202,7 +205,7 @@ TEST(IncrementalCubeTest, SealedWindowChurnPatchesInsteadOfRebuilding) {
                                5.0 + i})
                     .ok());
   }
-  auto patched = engine.ComputeCubeShared(0, 2);
+  auto patched = MaintainedCube(engine, 0, 2);
   ASSERT_TRUE(patched.ok()) << patched.status().ToString();
   auto stats = engine.cube_memo_stats();
   EXPECT_EQ(stats.patches, 1);
@@ -221,39 +224,42 @@ TEST(IncrementalCubeTest, StructuralChangesRebuild) {
   StreamGenerator gen(spec);
   SeedLagging(engine, gen);
 
-  ASSERT_TRUE(engine.ComputeCubeShared(0, 2).ok());
+  ASSERT_TRUE(MaintainedCube(engine, 0, 2).ok());
 
   // A brand-new cell is a structural change: patching cannot reproduce a
   // freshly built tree's chain order, so the memo rebuilds.
   ASSERT_TRUE(engine.Ingest({FreshKeyOutside(gen, 16), 7, 2.0}).ok());
-  auto rebuilt = engine.ComputeCubeShared(0, 2);
+  auto rebuilt = MaintainedCube(engine, 0, 2);
   ASSERT_TRUE(rebuilt.ok());
   EXPECT_EQ(engine.cube_memo_stats().rebuilds, 2);
   ExpectCubesIdentical(ScratchCube(*schema, engine, LagOptions(), 0, 2),
                        **rebuilt);
 
-  // The by-value export door never evicts a live memo of a different
-  // window: ComputeCube(0, 1) computes from scratch on the side, and the
+  // The by-value export door (Engine::ComputeCube) never evicts a live
+  // memo of a different window: the memo reports that (0, 1) would evict
+  // it, so the door cubes (0, 1) from scratch on the side, and the
   // memoized (0, 2) cube still answers as a hit.
-  auto memoized = engine.ComputeCubeShared(0, 2);
+  auto memoized = MaintainedCube(engine, 0, 2);
   ASSERT_TRUE(memoized.ok());
   const auto hits_before = engine.cube_memo_stats().hits;
-  ASSERT_TRUE(engine.ComputeCube(0, 1).ok());
+  EXPECT_FALSE(engine.CubeMemoWouldEvict(0, 2));
+  EXPECT_TRUE(engine.CubeMemoWouldEvict(0, 1));
+  ASSERT_TRUE(CubeOf(engine, 0, 1).ok());
   EXPECT_EQ(engine.cube_memo_stats().rebuilds, 2);
-  auto still = engine.ComputeCubeShared(0, 2);
+  auto still = MaintainedCube(engine, 0, 2);
   ASSERT_TRUE(still.ok());
   EXPECT_EQ(still->get(), memoized->get());
   EXPECT_EQ(engine.cube_memo_stats().hits, hits_before + 1);
 
   // A different (level, k) through the memo door is a different memo:
   // rebuild.
-  ASSERT_TRUE(engine.ComputeCubeShared(0, 1).ok());
+  ASSERT_TRUE(MaintainedCube(engine, 0, 1).ok());
   EXPECT_EQ(engine.cube_memo_stats().rebuilds, 3);
 
   // Rolling the window epoch (a new level-0 slot seals) rebuilds too.
-  ASSERT_TRUE(engine.ComputeCubeShared(0, 2).ok());
+  ASSERT_TRUE(MaintainedCube(engine, 0, 2).ok());
   ASSERT_TRUE(engine.SealThrough(12).ok());  // seals [8,12)
-  auto rolled = engine.ComputeCubeShared(0, 2);
+  auto rolled = MaintainedCube(engine, 0, 2);
   ASSERT_TRUE(rolled.ok());
   ExpectCubesIdentical(ScratchCube(*schema, engine, LagOptions(), 0, 2),
                        **rolled);
@@ -268,12 +274,12 @@ TEST(IncrementalCubeTest, PatchedCubeIsImmutableForHolders) {
   StreamGenerator gen(spec);
   SeedLagging(engine, gen);
 
-  auto before = engine.ComputeCubeShared(0, 2);
+  auto before = MaintainedCube(engine, 0, 2);
   ASSERT_TRUE(before.ok());
   const CellMap m_before = (*before)->m_layer();  // deep copy for comparison
 
   ASSERT_TRUE(engine.Ingest({gen.cells()[0].key, 7, 9.0}).ok());
-  auto after = engine.ComputeCubeShared(0, 2);
+  auto after = MaintainedCube(engine, 0, 2);
   ASSERT_TRUE(after.ok());
 
   // The held cube must not have been mutated by the patch (copy-on-write).
@@ -321,6 +327,23 @@ TEST(IncrementalCubeTest, FacadeCubeQueriesRideTheMemoAndAccountMemory) {
     EXPECT_EQ(top->cells()[i].key, snap_top->cells()[i].key);
     EXPECT_EQ(top->cells()[i].isb, snap_top->cells()[i].isb);
   }
+
+  // The by-value door: a different window is cubed on the side (the memo
+  // keeps its bytes), the memoized window comes back as a deep copy of the
+  // memo; both match the snapshot's from-scratch cube.
+  const std::int64_t memo_bytes =
+      engine.memory_tracker().category_bytes("cube.memo");
+  auto side = engine.ComputeCube(0, 1);
+  auto side_ref = snap->ComputeCube(0, 1);
+  ASSERT_TRUE(side.ok()) << side.status().ToString();
+  ASSERT_TRUE(side_ref.ok());
+  ExpectCubesIdentical(*side_ref, *side);
+  EXPECT_EQ(engine.memory_tracker().category_bytes("cube.memo"), memo_bytes);
+  auto copy = engine.ComputeCube(0, 2);
+  auto copy_ref = snap->ComputeCube(0, 2);
+  ASSERT_TRUE(copy.ok());
+  ASSERT_TRUE(copy_ref.ok());
+  ExpectCubesIdentical(*copy_ref, *copy);
 }
 
 // ------------------------------------------------------------ error contract
@@ -332,7 +355,7 @@ TEST(IncrementalCubeTest, ErrorContractMatchesFromScratch) {
   ShardedStreamEngine engine(*schema, LagOptions(), 2);
 
   // Empty engine: the legacy no-data error.
-  auto empty = engine.ComputeCubeShared(0, 2);
+  auto empty = MaintainedCube(engine, 0, 2);
   EXPECT_EQ(empty.status().code(), StatusCode::kFailedPrecondition);
 
   StreamGenerator gen(spec);
@@ -340,7 +363,7 @@ TEST(IncrementalCubeTest, ErrorContractMatchesFromScratch) {
 
   // More slots than are sealed: the window error propagates verbatim, and
   // the failed attempt must not poison the memo for valid queries.
-  auto too_deep = engine.ComputeCubeShared(0, 64);
+  auto too_deep = MaintainedCube(engine, 0, 64);
   EXPECT_FALSE(too_deep.ok());
   auto run = engine.GatherAlignedCells();
   auto scratch = SnapshotCubeOf(*schema, *run.cells, LagOptions(), 0, 64,
@@ -348,7 +371,7 @@ TEST(IncrementalCubeTest, ErrorContractMatchesFromScratch) {
   EXPECT_EQ(too_deep.status().code(), scratch.status().code());
   EXPECT_EQ(too_deep.status().message(), scratch.status().message());
 
-  auto ok = engine.ComputeCubeShared(0, 2);
+  auto ok = MaintainedCube(engine, 0, 2);
   EXPECT_TRUE(ok.ok()) << ok.status().ToString();
 }
 
@@ -363,7 +386,7 @@ TEST(IncrementalCubeTest, ConcurrentChurnAndCubeQueriesAreRaceFree) {
   StreamGenerator gen(spec);
   const auto& cells = gen.cells();
   SeedLagging(engine, gen);
-  ASSERT_TRUE(engine.ComputeCubeShared(0, 2).ok());
+  ASSERT_TRUE(MaintainedCube(engine, 0, 2).ok());
 
   std::atomic<bool> stop{false};
   std::vector<std::thread> writers;
@@ -389,7 +412,7 @@ TEST(IncrementalCubeTest, ConcurrentChurnAndCubeQueriesAreRaceFree) {
   for (int r = 0; r < 2; ++r) {
     readers.emplace_back([&] {
       for (int i = 0; i < 25; ++i) {
-        auto cube = engine.ComputeCubeShared(0, 2);
+        auto cube = MaintainedCube(engine, 0, 2);
         ASSERT_TRUE(cube.ok()) << cube.status().ToString();
         EXPECT_GE((*cube)->m_layer().size(), cells.size());
       }
@@ -400,7 +423,7 @@ TEST(IncrementalCubeTest, ConcurrentChurnAndCubeQueriesAreRaceFree) {
   for (auto& t : writers) t.join();
 
   RegressionCube scratch = ScratchCube(*schema, engine, LagOptions(), 0, 2);
-  auto final_cube = engine.ComputeCubeShared(0, 2);
+  auto final_cube = MaintainedCube(engine, 0, 2);
   ASSERT_TRUE(final_cube.ok());
   ExpectCubesIdentical(scratch, **final_cube);
 }

@@ -1,6 +1,6 @@
 // Member-index contracts: the ingest-maintained per-cuboid roll-up index
-// behind sublinear point queries must be bit-identical to the retained
-// O(cells) scan path (PointLookup::kScan) across shard counts {1, 2, 8}
+// behind sublinear point queries must be bit-identical to the O(cells)
+// scan oracle (equivalence::ScanMembers) across shard counts {1, 2, 8}
 // under randomized churn; it must stay coherent across seals, window-epoch
 // rolls and brand-new cells (activation backfills the population, ingest
 // maintains it from then on); the seeded per-cuboid node indexes the cube
@@ -32,6 +32,7 @@ using equivalence::ChurnEngineOptions;
 using equivalence::ChurnWorkload;
 using equivalence::ExpectMemberGathersIdentical;
 using equivalence::Key2;
+using equivalence::ScanMembers;
 using equivalence::SmallTiltPolicy;
 using equivalence::UnusedMLayerKey;
 
@@ -55,8 +56,7 @@ void ExpectIndexMatchesScanEverywhere(ShardedStreamEngine& engine,
           missing}) {
       const CellKey key = lattice.ProjectMLayerKey(m_key, c);
       auto indexed = engine.GatherCellsMatching(c, key);
-      auto scanned =
-          engine.GatherCellsMatching(c, key, PointLookup::kScan);
+      auto scanned = ScanMembers(engine, c, key);
       ExpectMemberGathersIdentical(indexed, scanned, num_levels);
 
       // The public point queries must agree with the snapshot kernels
@@ -146,8 +146,7 @@ TEST(MemberIndexTest, IndexStaysCoherentAcrossSealsAndEpochRolls) {
   // window; the indexed answer must track the scan oracle bit for bit.
   ASSERT_TRUE(engine.SealThrough(spec.series_length + 4).ok());
   auto rolled = engine.GatherCellsMatching(o_id, o_key);
-  auto rolled_scan =
-      engine.GatherCellsMatching(o_id, o_key, PointLookup::kScan);
+  auto rolled_scan = ScanMembers(engine, o_id, o_key);
   ExpectMemberGathersIdentical(rolled, rolled_scan, 2);
   auto after_roll = engine.QueryCell(o_id, o_key, 0, 2);
   ASSERT_TRUE(after_roll.ok());
@@ -159,15 +158,13 @@ TEST(MemberIndexTest, IndexStaysCoherentAcrossSealsAndEpochRolls) {
   // parent gains a member without any rebuild.
   const CellKey fresh = equivalence::FreshKeyOutside(gen, 16);
   const CellKey fresh_o = lattice.ProjectMLayerKey(fresh, o_id);
-  auto no_member =
-      engine.GatherCellsMatching(o_id, fresh_o, PointLookup::kScan);
+  auto no_member = ScanMembers(engine, o_id, fresh_o);
   const size_t members_before =
       engine.GatherCellsMatching(o_id, fresh_o).cells.size();
   EXPECT_EQ(members_before, no_member.cells.size());
   ASSERT_TRUE(engine.Ingest({fresh, spec.series_length + 5, 1.0}).ok());
   auto grown = engine.GatherCellsMatching(o_id, fresh_o);
-  auto grown_scan =
-      engine.GatherCellsMatching(o_id, fresh_o, PointLookup::kScan);
+  auto grown_scan = ScanMembers(engine, o_id, fresh_o);
   EXPECT_EQ(grown.cells.size(), members_before + 1);
   ExpectMemberGathersIdentical(grown, grown_scan, 2);
 }
@@ -213,7 +210,8 @@ TEST(MemberIndexTest, SeededNodeIndexReproducesChainScanExactly) {
     for (const auto& [cell_key, chain_nodes] : index_cells) {
       // Member keys via the engine's index, canonical order — exactly the
       // feed the memo's MemberLookup hands SeedCellNodesFromMembers.
-      const std::vector<CellKey> members = engine.MemberKeysFor(c, cell_key);
+      const std::vector<CellKey> members =
+          engine.MemberKeysForBatch(c, {cell_key}).front();
       ASSERT_FALSE(members.empty()) << cell_key.ToString();
       auto seeded = SeedCellNodesFromMembers(*tree, lattice, c, members);
       ASSERT_TRUE(seeded.has_value()) << cell_key.ToString();
@@ -424,7 +422,7 @@ TEST(MemberIndexTest, ConcurrentIngestAndPointQueriesAreRaceFree) {
 
   // Quiesced end state: indexed and scan paths still agree bit for bit.
   auto indexed = engine.GatherCellsMatching(o_id, o_key);
-  auto scanned = engine.GatherCellsMatching(o_id, o_key, PointLookup::kScan);
+  auto scanned = ScanMembers(engine, o_id, o_key);
   ExpectMemberGathersIdentical(indexed, scanned, 2);
 }
 

@@ -30,6 +30,7 @@ using equivalence::ExpectCellMapsIdentical;
 using equivalence::ExpectCubesIdentical;
 using equivalence::FreshKeyOutsideDims;
 using equivalence::KeyN;
+using equivalence::MaintainedCube;
 using equivalence::ScratchCube;
 using testing_util::MakeSmallWorkload;
 using testing_util::SmallWorkload;
@@ -260,13 +261,13 @@ TEST(PackedEquivalenceTest, DeepLatticeChurnMatchesScratchAcrossShardCounts) {
     plan.fresh_key = FreshKeyOutsideDims(gen, 3, 512);
 
     equivalence::RunChurnRounds(engine, gen.cells(), plan, [&](int) {
-      auto maintained = engine.ComputeCubeShared(0, 2);
+      auto maintained = MaintainedCube(engine, 0, 2);
       ASSERT_TRUE(maintained.ok()) << maintained.status().ToString();
       RegressionCube scratch = ScratchCube(*schema, engine, options, 0, 2);
       ExpectCubesIdentical(scratch, **maintained);
     });
 
-    auto last = engine.ComputeCubeShared(0, 2);
+    auto last = MaintainedCube(engine, 0, 2);
     ASSERT_TRUE(last.ok());
     o_layers.push_back((*last)->o_layer());
   }

@@ -21,7 +21,11 @@ namespace {
 
 using equivalence::ChurnEngineOptions;
 using equivalence::ChurnWorkload;
+using equivalence::CubeOf;
+using equivalence::DeckOf;
 using equivalence::ExpectCellMapsIdentical;
+using equivalence::TrendChangesOf;
+using equivalence::WindowOf;
 using testing_util::ExpectIsbNear;
 
 WorkloadSpec ShardSpec(std::int64_t tuples = 60, std::int64_t ticks = 32) {
@@ -49,14 +53,14 @@ std::unique_ptr<ShardedStreamEngine> MakeSealed(const WorkloadSpec& spec,
 TEST(ShardedEngineTest, CubeIdenticalAcrossShardCounts) {
   WorkloadSpec spec = ShardSpec();
   auto reference = MakeSealed(spec, 1);
-  auto ref_cube = reference->ComputeCube(0, 8);
+  auto ref_cube = CubeOf(*reference, 0, 8);
   ASSERT_TRUE(ref_cube.ok()) << ref_cube.status().ToString();
 
   for (int shards : {2, 8}) {
     auto engine = MakeSealed(spec, shards);
     EXPECT_EQ(engine->num_shards(), shards);
     EXPECT_EQ(engine->num_cells(), reference->num_cells());
-    auto cube = engine->ComputeCube(0, 8);
+    auto cube = CubeOf(*engine, 0, 8);
     ASSERT_TRUE(cube.ok()) << cube.status().ToString();
 
     ExpectCellMapsIdentical(ref_cube->m_layer(), cube->m_layer());
@@ -77,11 +81,11 @@ TEST(ShardedEngineTest, QueriesIdenticalAcrossShardCounts) {
   auto reference = MakeSealed(spec, 1);
   const CuboidLattice& lattice = reference->lattice();
 
-  auto ref_window = reference->SnapshotWindow(0, 8);
+  auto ref_window = WindowOf(*reference, 0, 8);
   ASSERT_TRUE(ref_window.ok());
-  auto ref_deck = reference->ObservationDeck(1);
+  auto ref_deck = DeckOf(*reference, 1);
   ASSERT_TRUE(ref_deck.ok());
-  auto ref_changes = reference->DetectTrendChanges(0, 0.02);
+  auto ref_changes = TrendChangesOf(*reference, 0, 0.02);
   ASSERT_TRUE(ref_changes.ok());
 
   StreamGenerator gen(spec);
@@ -95,7 +99,7 @@ TEST(ShardedEngineTest, QueriesIdenticalAcrossShardCounts) {
   for (int shards : {2, 8}) {
     auto engine = MakeSealed(spec, shards);
 
-    auto window = engine->SnapshotWindow(0, 8);
+    auto window = WindowOf(*engine, 0, 8);
     ASSERT_TRUE(window.ok());
     ASSERT_EQ(window->size(), ref_window->size());
     for (size_t i = 0; i < window->size(); ++i) {
@@ -111,7 +115,7 @@ TEST(ShardedEngineTest, QueriesIdenticalAcrossShardCounts) {
     ASSERT_TRUE(series.ok());
     EXPECT_EQ(*ref_series, *series);
 
-    auto deck = engine->ObservationDeck(1);
+    auto deck = DeckOf(*engine, 1);
     ASSERT_TRUE(deck.ok());
     ASSERT_EQ(deck->size(), ref_deck->size());
     for (const auto& [key, expected] : *ref_deck) {
@@ -120,7 +124,7 @@ TEST(ShardedEngineTest, QueriesIdenticalAcrossShardCounts) {
       EXPECT_EQ(expected, it->second);
     }
 
-    auto changes = engine->DetectTrendChanges(0, 0.02);
+    auto changes = TrendChangesOf(*engine, 0, 0.02);
     ASSERT_TRUE(changes.ok());
     ASSERT_EQ(changes->size(), ref_changes->size());
     for (size_t i = 0; i < changes->size(); ++i) {
@@ -144,7 +148,7 @@ TEST(ShardedEngineTest, MatchesSingleEngineWithinTolerance) {
 
   auto sharded = MakeSealed(spec, 4);
   auto single_cube = single.ComputeCube(0, 8);
-  auto sharded_cube = sharded->ComputeCube(0, 8);
+  auto sharded_cube = CubeOf(*sharded, 0, 8);
   ASSERT_TRUE(single_cube.ok());
   ASSERT_TRUE(sharded_cube.ok());
   ASSERT_EQ(single_cube->o_layer().size(), sharded_cube->o_layer().size());
@@ -168,7 +172,7 @@ TEST(ShardedEngineTest, ConcurrentIngestIsDeterministicAfterSeal) {
   ShardedStreamEngine serial(*schema, ShardOptions(), 8);
   ASSERT_TRUE(serial.IngestBatch(stream).ok());
   ASSERT_TRUE(serial.SealThrough(spec.series_length - 1).ok());
-  auto serial_cube = serial.ComputeCube(0, 8);
+  auto serial_cube = CubeOf(serial, 0, 8);
   ASSERT_TRUE(serial_cube.ok());
 
   // 4 writer threads, each owning a disjoint slice of the cells (so
@@ -192,7 +196,7 @@ TEST(ShardedEngineTest, ConcurrentIngestIsDeterministicAfterSeal) {
     ASSERT_TRUE(concurrent.SealThrough(spec.series_length - 1).ok());
     EXPECT_EQ(concurrent.num_cells(), serial.num_cells());
 
-    auto cube = concurrent.ComputeCube(0, 8);
+    auto cube = CubeOf(concurrent, 0, 8);
     ASSERT_TRUE(cube.ok()) << cube.status().ToString();
     ExpectCellMapsIdentical(serial_cube->m_layer(), cube->m_layer());
     ExpectCellMapsIdentical(serial_cube->o_layer(), cube->o_layer());
@@ -212,7 +216,7 @@ TEST(ShardedEngineTest, ConcurrentSingleTupleIngestAlsoDeterministic) {
   ShardedStreamEngine serial(*schema, ShardOptions(), 4);
   ASSERT_TRUE(serial.IngestBatch(stream).ok());
   ASSERT_TRUE(serial.SealThrough(spec.series_length - 1).ok());
-  auto serial_window = serial.SnapshotWindow(0, 4);
+  auto serial_window = WindowOf(serial, 0, 4);
   ASSERT_TRUE(serial_window.ok());
 
   constexpr int kThreads = 4;
@@ -229,7 +233,7 @@ TEST(ShardedEngineTest, ConcurrentSingleTupleIngestAlsoDeterministic) {
   for (std::thread& w : writers) w.join();
   ASSERT_TRUE(concurrent.SealThrough(spec.series_length - 1).ok());
 
-  auto window = concurrent.SnapshotWindow(0, 4);
+  auto window = WindowOf(concurrent, 0, 4);
   ASSERT_TRUE(window.ok());
   ASSERT_EQ(window->size(), serial_window->size());
   for (size_t i = 0; i < window->size(); ++i) {
@@ -245,9 +249,9 @@ TEST(ShardedEngineTest, ErrorsSurfaceCleanly) {
   ShardedStreamEngine engine(*schema, ShardOptions(), 4);
 
   // No data yet.
-  EXPECT_EQ(engine.SnapshotWindow(0, 1).status().code(),
+  EXPECT_EQ(WindowOf(engine, 0, 1).status().code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_FALSE(engine.ObservationDeck(0).ok());
+  EXPECT_FALSE(DeckOf(engine, 0).ok());
 
   CellKey k(2);
   ASSERT_TRUE(engine.Ingest({k, 10, 1.0}).ok());
@@ -255,9 +259,9 @@ TEST(ShardedEngineTest, ErrorsSurfaceCleanly) {
   EXPECT_FALSE(engine.Ingest({k, 3, 1.0}).ok());
   // Too many slots requested.
   ASSERT_TRUE(engine.SealThrough(11).ok());
-  EXPECT_FALSE(engine.SnapshotWindow(0, 100).ok());
+  EXPECT_FALSE(WindowOf(engine, 0, 100).ok());
   // Bad tilt level and bad cuboid id.
-  EXPECT_EQ(engine.ObservationDeck(99).status().code(),
+  EXPECT_EQ(DeckOf(engine, 99).status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(engine.QueryCell(-1, k, 0, 1).status().code(),
             StatusCode::kInvalidArgument);
@@ -283,7 +287,7 @@ TEST(ShardedEngineTest, LaggingShardAlignsToGlobalClock) {
     }
   }
   ASSERT_TRUE(engine.SealThrough(31).ok());
-  auto window = engine.SnapshotWindow(0, 8);  // full 32 ticks
+  auto window = WindowOf(engine, 0, 8);  // full 32 ticks
   ASSERT_TRUE(window.ok()) << window.status().ToString();
   ASSERT_EQ(window->size(), 2u);
   for (const MLayerTuple& t : *window) {

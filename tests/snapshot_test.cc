@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "equivalence_harness.h"
 #include "test_util.h"
 
 namespace regcube {
@@ -164,7 +165,7 @@ TEST(SnapshotTest, MatchesRetiredAllLocksReadPath) {
 
     auto locked = engine.ComputeCubeAllLocks(0, 8);
     ASSERT_TRUE(locked.ok()) << locked.status().ToString();
-    auto snapshot = engine.ComputeCube(0, 8);
+    auto snapshot = equivalence::CubeOf(engine, 0, 8);
     ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
     ExpectCubesIdentical(*locked, *snapshot);
   }
@@ -310,7 +311,7 @@ TEST(SnapshotTest, ReadsNoLongerForceSealLaggingWriters) {
   }
 
   // A read that aligns (its own copies) to tick 32...
-  auto window = engine.SnapshotWindow(0, 1);
+  auto window = equivalence::WindowOf(engine, 0, 1);
   ASSERT_TRUE(window.ok()) << window.status().ToString();
 
   // ...must not have sealed the live lagging cell past tick 8.
